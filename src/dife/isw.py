@@ -69,44 +69,38 @@ def kmeans_1d(values, k, max_iter=None):
     """Globally optimal 1-D k-means via dynamic programming.
 
     In one dimension the optimal clustering partitions the sorted values into
-    k contiguous runs, so an O(n^2 k) dynamic program over run boundaries
-    finds the exact minimum within-cluster sum of squares (Lloyd iterations
-    can stall in local optima on scalars).  Returns (labels, centroids) with
+    k contiguous runs, so a dynamic program over run boundaries finds the
+    exact minimum within-cluster sum of squares (Lloyd iterations can stall
+    in local optima on scalars).  It does O(n^2 k) work as k vectorized rows
+    over an (n, n) segment-cost matrix.  Returns (labels, centroids) with
     centroids ascending; label i refers to centroids[i].  Deterministic.
     """
     vals = np.asarray(list(values), dtype=np.float64)
     if k < 2:
         raise ContractError(f"kmeans_1d: k must be >= 2, got {k}")
-    if np.unique(vals).size < k:
-        raise DegenerateClusterError(
-            f"kmeans_1d: {np.unique(vals).size} distinct values < k={k}"
-        )
+    distinct = np.unique(vals).size
+    if distinct < k:
+        raise DegenerateClusterError(f"kmeans_1d: {distinct} distinct values < k={k}")
     n = vals.size
     order = np.argsort(vals, kind="stable")
     s = vals[order]
-    # prefix sums let cost(i, j) = SSE of s[i:j+1] be evaluated in O(1)
+    # cost[i, j] = SSE of s[i:j+1] from prefix sums; runs with i > j cost inf
     ps = np.concatenate(([0.0], np.cumsum(s)))
     ps2 = np.concatenate(([0.0], np.cumsum(s * s)))
-
-    def cost(i, j):
-        cnt = j - i + 1
-        tot = ps[j + 1] - ps[i]
-        return (ps2[j + 1] - ps2[i]) - tot * tot / cnt
-
-    big = np.inf
-    dp = np.full((k, n), big)
+    idx = np.arange(n)
+    cnt = np.maximum(idx[None, :] - idx[:, None] + 1, 1)
+    tot = ps[None, 1:] - ps[:-1, None]
+    cost = (ps2[None, 1:] - ps2[:-1, None]) - tot * tot / cnt
+    cost[idx[:, None] > idx[None, :]] = np.inf
+    dp = np.full((k, n), np.inf)
     split = np.zeros((k, n), dtype=np.int64)
-    for j in range(n):
-        dp[0, j] = cost(0, j)
+    dp[0] = cost[0]
     for m in range(1, k):
-        for j in range(m, n):
-            best, best_i = big, m
-            for i in range(m, j + 1):
-                c = dp[m - 1, i - 1] + cost(i, j)
-                if c < best:
-                    best, best_i = c, i
-            dp[m, j] = best
-            split[m, j] = best_i
+        # row r of cand is the last run starting at i = m + r; argmin keeps the first minimum
+        cand = dp[m - 1, m - 1 : n - 1, None] + cost[m:, m:]
+        best = np.argmin(cand, axis=0)
+        dp[m, m:] = cand[best, np.arange(n - m)]
+        split[m, m:] = m + best
     # walk the split table back to recover run boundaries
     bounds = np.empty(k + 1, dtype=np.int64)
     bounds[k] = n
@@ -184,9 +178,7 @@ class CovarianceStats:
         self.channels = channels
         self.k = k
         self.v_sum = np.zeros((channels, channels))
-        self.mu_sum = np.zeros((channels, channels))
         self.batches_seen = 0
-        self.warmup_epochs_seen = 0
         self.mask = None
 
     @property
@@ -198,12 +190,6 @@ class CovarianceStats:
         if self.batches_seen == 0:
             return np.zeros((self.channels, self.channels))
         return self.v_sum / self.batches_seen
-
-    @property
-    def mu_theta(self):
-        if self.batches_seen == 0:
-            return np.zeros((self.channels, self.channels))
-        return self.mu_sum / self.batches_seen
 
     def freeze(self):
         self.mask = build_mask(self.v, self.k)
@@ -218,8 +204,7 @@ def update_warmup(stats, theta_x, theta_tx):
     ttx = theta_tx.data if isinstance(theta_tx, Tensor) else np.asarray(theta_tx)
     tx = tx.reshape(-1, stats.channels, stats.channels)
     ttx = ttx.reshape(-1, stats.channels, stats.channels)
-    v, mu = covariance_variance(tx, ttx)
+    v, _ = covariance_variance(tx, ttx)
     stats.v_sum += v
-    stats.mu_sum += mu
     stats.batches_seen += 1
     return stats

@@ -239,28 +239,38 @@ def save_checkpoint(path, net):
 
 
 def load_checkpoint(path, net):
-    """Load parameters into net, validating names and shapes."""
+    """Load parameters into net; any file but an exact match raises ContractError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ContractError(f"checkpoint {path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    off = 4
+
+    def take(size):
+        nonlocal off
+        if off + size > len(blob):
+            raise ContractError(f"checkpoint {path}: truncated at {len(blob)} bytes, "
+                                f"needs at least {off + size}")
+        off += size
+        return blob[off - size : off]
+
+    (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"checkpoint {path}: unsupported version {version}")
-    (count,) = struct.unpack_from("<I", blob, 6)
-    off = 10
+    (count,) = struct.unpack("<I", take(4))
+    names = {p.name for p in net.parameters()}
     table = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        dims = struct.unpack_from("<4I", blob, off)
-        off += 16
-        size = int(np.prod(dims)) * 8
-        arr = np.frombuffer(blob[off : off + size], dtype="<f8").reshape(dims)
-        off += size
-        table[name] = arr
+        (nlen,) = struct.unpack("<H", take(2))
+        name = take(nlen).decode("utf-8", "replace")
+        if name not in names or name in table:
+            why = "is repeated" if name in table else "is not a parameter of this net"
+            raise ContractError(f"checkpoint {path}: parameter {name!r} {why}")
+        dims = struct.unpack("<4I", take(16))
+        table[name] = np.frombuffer(take(8 * int(np.prod(dims, dtype=object))),
+                                    dtype="<f8").reshape(dims)
+    if off != len(blob):
+        raise ContractError(f"checkpoint {path}: {len(blob) - off} trailing bytes after byte {off}")
     for p in net.parameters():
         if p.name not in table:
             raise ContractError(f"checkpoint {path}: missing parameter {p.name}")

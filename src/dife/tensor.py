@@ -137,7 +137,8 @@ class Tape:
     """Reverse-mode record for one forward/backward cycle.
 
     Use as a context manager; ops executed inside record nodes for any
-    result that depends on a requires_grad tensor.  Not thread-shared.
+    result that depends on a requires_grad tensor.  The active tape is a
+    module global, so at most one tape is active per process.
     """
 
     def __init__(self):
@@ -147,7 +148,7 @@ class Tape:
     def __enter__(self):
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
-            raise ContractError("a tape is already active on this thread")
+            raise ContractError("a tape is already active in this process")
         _ACTIVE_TAPE = self
         return self
 

@@ -144,7 +144,6 @@ def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
         if use_isw and epoch == cfg.warmup_epochs:
             for s in sorted(stats_by_stage):
                 stats_by_stage[s].freeze()
-                stats_by_stage[s].warmup_epochs_seen = cfg.warmup_epochs
         report = evaluate(net, val_samples, ncfg.num_classes)
         row = {"epoch": epoch, "lr": poly_lr(min(step, total_steps), total_steps, cfg),
                "val_miou": report.miou}

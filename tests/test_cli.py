@@ -9,6 +9,7 @@ import pytest
 
 import dife.cli as C
 import dife.gradcheck as G
+import dife.net as N
 import dife.tensor as T
 from dife.cli import main
 from dife.config import ConfigError, load_config, parse_value
@@ -140,6 +141,18 @@ class TestTrainEvalCommands:
                      "--data", str(dataset), "--domain", "source",
                      "--set", "net.num_classes=6",
                      "--out", str(tmp_path / "e3")]) == C.EXIT_CONFIG
+
+    def test_eval_truncated_checkpoint_is_config_error(self, config_file, tmp_path,
+                                                       dataset, capsys):
+        cfg = load_config(config_file)
+        ck = tmp_path / "cut.dife"
+        N.save_checkpoint(ck, N.SegNet(cfg.net_config(), seed=cfg["train.seed"]))
+        ck.write_bytes(ck.read_bytes()[:9])
+        assert main(["eval", "--config", str(config_file), "--checkpoint", str(ck),
+                     "--data", str(dataset), "--domain", "target",
+                     "--out", str(tmp_path / "e")]) == C.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "truncated" in err and str(ck) in err
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == C.EXIT_CONFIG

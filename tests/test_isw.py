@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,58 @@ def cluster_sse(values, labels, k):
     )
 
 
+def loop_kmeans_1d(values, k):
+    """The O(n^2 k) dynamic program as a plain triple loop: the reference for kmeans_1d.
+
+    Same float expressions and first-minimum tie-breaking, so its labels and
+    centroids must match kmeans_1d bit for bit.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    s_order = np.argsort(vals, kind="stable")
+    s = vals[s_order]
+    n = s.size
+    ps = np.concatenate(([0.0], np.cumsum(s)))
+    ps2 = np.concatenate(([0.0], np.cumsum(s * s)))
+
+    def cost(i, j):
+        cnt = j - i + 1
+        tot = ps[j + 1] - ps[i]
+        return (ps2[j + 1] - ps2[i]) - tot * tot / cnt
+
+    dp = np.full((k, n), np.inf)
+    split = np.zeros((k, n), dtype=np.int64)
+    for j in range(n):
+        dp[0, j] = cost(0, j)
+    for m in range(1, k):
+        for j in range(m, n):
+            best, best_i = np.inf, m
+            for i in range(m, j + 1):
+                c = dp[m - 1, i - 1] + cost(i, j)
+                if c < best:
+                    best, best_i = c, i
+            dp[m, j] = best
+            split[m, j] = best_i
+    bounds = [n]
+    j = n - 1
+    for m in range(k - 1, 0, -1):
+        bounds.append(split[m, j])
+        j = split[m, j] - 1
+    bounds = [0] + bounds[::-1]
+    sorted_labels = np.repeat(np.arange(k), np.diff(bounds))
+    centroids = np.array([s[bounds[m]:bounds[m + 1]].mean() for m in range(k)])
+    labels = np.empty(n, dtype=np.int64)
+    labels[s_order] = sorted_labels
+    return labels, centroids
+
+
+def variance_like(rng, n):
+    """Variance-sized values (~1e-4) where a third repeat earlier ones exactly."""
+    values = rng.exponential(1e-4, n)
+    repeat = rng.choice(n, n // 3, replace=False)
+    values[repeat] = values[rng.integers(0, n, repeat.size)]
+    return values
+
+
 class TestKmeans1d:
     def test_two_obvious_groups(self):
         labels, centroids = W.kmeans_1d([0.1, 0.2, 5.0, 5.1], 2)
@@ -123,6 +176,30 @@ class TestKmeans1d:
             sse = cluster_sse(values, labels, k)
             best, _ = brute_force_kmeans(values, k)
             assert sse == pytest.approx(best, abs=1e-9), (values.tolist(), k)
+
+    @pytest.mark.parametrize("n", [28, 120, 496])
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_bit_identical_to_loop_at_freeze_scale(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        # evenly spaced levels give exactly tied split costs, so tie-breaking is exercised
+        levels = rng.permutation(np.arange(n) % (k + 3) * 0.5)
+        for values in (variance_like(rng, n), np.round(rng.uniform(0, 1, n), 1 if k < 10 else 2),
+                       levels):
+            labels, centroids = W.kmeans_1d(values, k)
+            ref_labels, ref_centroids = loop_kmeans_1d(values, k)
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(centroids, ref_centroids)
+            assert np.all(np.diff(centroids) > 0)
+
+    def test_no_floating_point_warnings(self):
+        rng = np.random.default_rng(8)
+        cases = [([10.0, 0.0], 2), ([0.0, 0.0, 1.0], 2), (variance_like(rng, 120), 20),
+                 (rng.uniform(-1e150, 1e150, 60), 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                for values, k in cases:
+                    W.kmeans_1d(values, k)
 
 
 class TestBuildMask:
@@ -163,6 +240,18 @@ class TestBuildMask:
         mask = W.build_mask(v, 2)
         assert np.array_equal(mask, mask.T)
         assert not mask.diagonal().any()
+
+    def test_k20_mask_of_32_channels_matches_loop(self):
+        rng = np.random.default_rng(32)
+        c = 32
+        iu = np.triu_indices(c, 1)
+        v = np.zeros((c, c))
+        v[iu] = variance_like(rng, iu[0].size)
+        v = v + v.T + np.diag(rng.exponential(1e-4, c))
+        expected = np.zeros((c, c), dtype=bool)
+        expected[iu] = loop_kmeans_1d(v[iu], 20)[0] > 0
+        expected |= expected.T
+        assert np.array_equal(W.build_mask(v, 20), expected)
 
 
 class TestIswLoss:

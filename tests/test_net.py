@@ -248,3 +248,60 @@ class TestCheckpoint:
         wider = make_net(stage_channels=(12, 16, 32))
         with pytest.raises(ContractError):
             N.load_checkpoint(path, wider)
+
+    def _saved(self, tmp_path, **kwargs):
+        path = tmp_path / "ck.dife"
+        N.save_checkpoint(path, make_net(**kwargs))
+        return path, path.read_bytes()
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        # cut inside the version field, the count and the first name length
+        for cut in (5, 8, 11):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ContractError, match="truncated") as err:
+                N.load_checkpoint(path, make_net())
+            assert str(path) in str(err.value)
+
+    def test_truncated_tensor_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        for cut in (len(blob) - 8, len(blob) - 3, len(blob) // 2):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ContractError, match="truncated") as err:
+                N.load_checkpoint(path, make_net())
+            assert str(path) in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        for junk in (b"\x00", b"junk" * 5):
+            path.write_bytes(blob + junk)
+            with pytest.raises(ContractError, match="trailing") as err:
+                N.load_checkpoint(path, make_net())
+            assert str(path) in str(err.value)
+
+    def test_parameter_the_net_lacks_rejected(self, tmp_path):
+        # trained with SNR at {2, 3}; an SNR-{3} net has no snr2 weights to take them
+        path, _ = self._saved(tmp_path, snr_stages={2, 3})
+        with pytest.raises(ContractError, match="snr2") as err:
+            N.load_checkpoint(path, make_net(snr_stages={3}))
+        assert str(path) in str(err.value)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path, _ = self._saved(tmp_path, snr_stages={3})
+        with pytest.raises(ContractError, match="missing parameter snr2"):
+            N.load_checkpoint(path, make_net(snr_stages={2, 3}))
+
+    def test_repeated_parameter_rejected(self, tmp_path):
+        net = make_net()
+        path = tmp_path / "ck.dife"
+        N.save_checkpoint(path, net)
+        blob = path.read_bytes()
+        first = net.parameters()[0]
+        record_len = 2 + len(first.name) + 16 + 8 * first.tensor.data.size
+        count = int.from_bytes(blob[6:10], "little")
+        # the first record written twice, with the count raised to match
+        blob = blob[:6] + (count + 1).to_bytes(4, "little") + blob[10 : 10 + record_len] + blob[10:]
+        path.write_bytes(blob)
+        with pytest.raises(ContractError, match="repeated"):
+            N.load_checkpoint(path, make_net())
+
