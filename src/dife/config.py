@@ -7,7 +7,7 @@ unknown keys are rejected so ablation sweeps cannot silently typo a knob.
 from __future__ import annotations
 
 from . import data as D
-from .net import NetConfig, DC_MODES
+from .net import NetConfig
 from .train import TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_value", "load_config", "format_config"]
@@ -85,8 +85,6 @@ class RunConfig:
 
     def net_config(self):
         v = self.values
-        if v["net.dc_mode"] not in DC_MODES:
-            raise ConfigError(f"net.dc_mode must be one of {DC_MODES}")
         return NetConfig(
             stage_channels=tuple(v["net.stage_channels"]),
             num_classes=v["net.num_classes"],
@@ -96,7 +94,6 @@ class RunConfig:
             lambda2=float(v["net.lambda2"]),
             attention_reduction=v["net.attention_reduction"],
             k=v["net.k"],
-            warmup_epochs=v["train.warmup_epochs"],
             dc_mode=v["net.dc_mode"],
         )
 
@@ -108,7 +105,6 @@ class RunConfig:
             hue_rotation=float(v["twin.hue"]),
             gamma_range=(float(v["twin.gamma_min"]), float(v["twin.gamma_max"])),
             gaussian_blur_sigma=float(v["twin.blur_sigma"]),
-            seed=v["train.seed"],
         )
         return TrainConfig(
             lr0=float(v["train.lr0"]),

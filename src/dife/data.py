@@ -68,7 +68,6 @@ class PhotometricTransform:
     hue_rotation: float = 120.0
     gamma_range: tuple = (0.5, 2.2)
     gaussian_blur_sigma: float = 1.2
-    seed: int = 0
 
     def sample_params(self, rng):
         return {
@@ -111,11 +110,8 @@ def gaussian_blur(img, sigma):
     return out
 
 
-def apply_photometric(x, t, rng=None, params=None):
-    """Brightness -> contrast -> hue -> gamma -> blur, clamped to [0, 1]."""
-    if params is None:
-        rng = rng if rng is not None else np.random.default_rng(t.seed)
-        params = t.sample_params(rng)
+def apply_photometric(x, params):
+    """Brightness -> contrast -> hue -> gamma -> blur (params from sample_params), in [0, 1]."""
     out = x + params["brightness"]
     out = (out - 0.5) * (1.0 + params["contrast"]) + 0.5
     out = hue_rotate(out, params["hue"])

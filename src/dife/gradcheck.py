@@ -70,10 +70,8 @@ def suite_tensor(seeds=range(20)):
         record("global_avg_pool", check_op(T.global_avg_pool, [a]))
         record("batch_mean", check_op(T.batch_mean, [a]))
         record("sum_all", check_op(T.sum_all, [a]))
-        record("softmax_channels", check_op(T.softmax_channels, [a]))
         record("pixel_entropy_map", check_op(T.pixel_entropy_map, [a]))
         record("upsample_bilinear2x", check_op(T.upsample_bilinear2x, [a]))
-        record("concat_channels", check_op(T.concat_channels, [a, b], wrt=seed % 2))
         record("to_matrix", check_op(T.to_matrix, [a]))
         ma = _rand(rng, (2, 1, 3, 4))
         mb = _rand(rng, (2, 1, 4, 2))
@@ -114,13 +112,13 @@ def suite_snr(seeds=range(20)):
         for w_i, name in enumerate(["dc_f_norm", "dc_f_plus", "dc_f_minus"]):
             results[name] = max(
                 results.get(name, 0.0),
-                check_op(S.dual_causality_loss, [fn, fp_, fm], wrt=w_i),
+                check_op(lambda *fs: T.add(*S.dual_causality_terms(*fs)), [fn, fp_, fm], w_i),
             )
         # gradient into the attention weights through the whole block
         def block_loss(w1):
             att.fc1_w.tensor = w1
             out = S.snr_forward(f, att)
-            return S.dual_causality_loss(out.f_norm, out.f_plus, out.f_minus)
+            return T.add(*S.dual_causality_terms(out.f_norm, out.f_plus, out.f_minus))
 
         results["dc_attention_w"] = max(
             results.get("dc_attention_w", 0.0),
@@ -152,10 +150,6 @@ def suite_isw(seeds=range(20)):
                 lambda x, y: W.isw_loss(W.feature_covariance(x), W.feature_covariance(y), mask),
                 [f, g], wrt=seed % 2,
             ),
-        )
-        results["dwt_loss"] = max(
-            results.get("dwt_loss", 0.0),
-            check_op(lambda x: W.dwt_loss(W.feature_covariance(x)), [f]),
         )
     return results
 

@@ -23,7 +23,6 @@ __all__ = [
     "kmeans_1d",
     "build_mask",
     "isw_loss",
-    "dwt_loss",
     "update_warmup",
 ]
 
@@ -42,7 +41,7 @@ def feature_covariance(f, center=True):
     if h * w == 0:
         raise ContractError("feature_covariance: empty spatial extent")
     if center:
-        f = T.sub(f, T.spatial_mean(f))
+        f = T.sub(f, T.global_avg_pool(f))
     m = T.to_matrix(f)
     return T.scale(T.matmul(m, T.transpose_mat(m)), 1.0 / (h * w))
 
@@ -78,6 +77,9 @@ def kmeans_1d(values, k, max_iter=None):
     vals = np.asarray(list(values), dtype=np.float64)
     if k < 2:
         raise ContractError(f"kmeans_1d: k must be >= 2, got {k}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ContractError(f"kmeans_1d: non-finite value {vals[bad[0]]} at index {bad[0]}")
     distinct = np.unique(vals).size
     if distinct < k:
         raise DegenerateClusterError(f"kmeans_1d: {distinct} distinct values < k={k}")
@@ -162,13 +164,6 @@ def isw_loss(theta_x, theta_tx, mask):
         T.sum_all(T.mul(T.absolute(theta_tx), mconst)),
     )
     return T.scale(total, 1.0 / (2 * n * nnz))
-
-
-def dwt_loss(theta):
-    """Full-whitening penalty: mean |theta - I| (ablation alternative)."""
-    c = theta.shape[2]
-    eye = Tensor(np.broadcast_to(np.eye(c), theta.shape).copy())
-    return T.mean_all(T.absolute(T.sub(theta, eye)))
 
 
 class CovarianceStats:

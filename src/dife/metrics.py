@@ -71,16 +71,15 @@ class MetricsReport:
     mprecision: float = float("nan")
     mrecall: float = float("nan")
     pixel_accuracy: float = float("nan")
-    sample_ious: list = field(default_factory=list)  # per-sample mean IoU, for t-tests
 
 
 def _ratio(num, den):
     return float(num) / float(den) if den > 0 else None
 
 
-def compute_report(counts, sample_ious=None):
+def compute_report(counts):
     """Derive the metric set; classes with no GT and no prediction are skipped."""
-    rep = MetricsReport(sample_ious=list(sample_ious or []))
+    rep = MetricsReport()
     for c in range(counts.num_classes):
         tp, fp, fn = int(counts.tp[c]), int(counts.fp[c]), int(counts.fn[c])
         if tp + fp + fn == 0:

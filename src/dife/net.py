@@ -48,7 +48,6 @@ class NetConfig:
     lambda2: float = 1.0
     attention_reduction: int = 4
     k: int = 2
-    warmup_epochs: int = 5
     dc_mode: str = "full"
     in_eps: float = S.IN_EPS
 
@@ -169,9 +168,9 @@ class SegNet:
         return self.decode(feats[-1])
 
 
-def forward_pair(x, tx, net, cfg=None):
+def forward_pair(x, tx, net):
     """Run both views through the encoder; logits come from the raw view."""
-    cfg = cfg or net.cfg
+    cfg = net.cfg
     if x.shape != tx.shape:
         raise ShapeError(f"forward_pair: view shapes differ {x.shape} vs {tx.shape}")
     snr_rec = {}
@@ -187,7 +186,10 @@ def forward_pair(x, tx, net, cfg=None):
 
 
 def task_loss(logits, mask, ignore_index=-1):
-    """Cross-entropy over non-ignored pixels."""
+    """Cross-entropy over non-ignored pixels.
+
+    total_loss looks this up as a module global, so a profiler can wrap it.
+    """
     return T.cross_entropy(logits, mask, ignore_index=ignore_index)
 
 

@@ -20,9 +20,7 @@ __all__ = [
     "instance_normalize",
     "channel_attention",
     "restitution_split",
-    "pixel_entropy",
-    "margin_loss",
-    "dual_causality_loss",
+    "dual_causality_terms",
     "snr_forward",
 ]
 
@@ -68,9 +66,9 @@ def instance_normalize(f, eps=IN_EPS):
     """Standardize each (n, c) slice over its spatial positions."""
     if eps < 0:
         raise T.ContractError(f"eps must be >= 0, got {eps}")
-    mean = T.spatial_mean(f)
+    mean = T.global_avg_pool(f)
     centered = T.sub(f, mean)
-    var = T.spatial_mean(T.mul(centered, centered))
+    var = T.global_avg_pool(T.mul(centered, centered))
     # inv_std as a primitive-composed path: x^(-1/2) via explicit op
     inv_std = _rsqrt(T.add_scalar(var, eps))
     return T.mul(centered, inv_std)
@@ -100,42 +98,22 @@ def restitution_split(f, f_norm, alpha):
     return r_plus, r_minus
 
 
-def pixel_entropy(f):
-    """Entropy of the channel softmax at each pixel, shape (N, 1, H, W)."""
-    return T.pixel_entropy_map(f)
+def dual_causality_terms(f_norm, f_plus, f_minus):
+    """Entropy-separation losses (L+, L-) between enhanced and corrupted features.
 
-
-def margin_loss(x):
-    """ln(1 + e^x); keeps entropy-difference losses positive and smooth."""
-    return T.softplus(x)
-
-
-def dual_causality_loss(f_norm, f_plus, f_minus):
-    """Entropy-separation loss between enhanced and corrupted features.
-
-    Per sample: spatial mean of entropy differences, softplus-wrapped;
-    the enhanced branch is pushed below the normalized features' entropy,
-    the corrupted branch above it.  Batch dimension averaged last.
+    Per sample: spatial mean of entropy differences, softplus-wrapped; L+
+    pushes the enhanced branch below the normalized features' entropy, L-
+    pushes the corrupted branch above it.  Batch dimension averaged last.
     """
     if not (f_norm.shape == f_plus.shape == f_minus.shape):
         raise ShapeError(
-            f"dual_causality_loss: shapes differ {f_norm.shape} {f_plus.shape} {f_minus.shape}"
+            f"dual_causality_terms: shapes differ {f_norm.shape} {f_plus.shape} {f_minus.shape}"
         )
-    e_norm = pixel_entropy(f_norm)
-    e_plus = pixel_entropy(f_plus)
-    e_minus = pixel_entropy(f_minus)
-    gap_plus = T.spatial_mean(T.sub(e_plus, e_norm))
-    gap_minus = T.spatial_mean(T.sub(e_norm, e_minus))
-    l_plus = T.batch_mean(margin_loss(gap_plus))
-    l_minus = T.batch_mean(margin_loss(gap_minus))
-    return T.add(l_plus, l_minus)
-
-
-def dual_causality_terms(f_norm, f_plus, f_minus):
-    """(L+, L-) separately, for the loss-ablation variants."""
-    e_norm = pixel_entropy(f_norm)
-    l_plus = T.batch_mean(margin_loss(T.spatial_mean(T.sub(pixel_entropy(f_plus), e_norm))))
-    l_minus = T.batch_mean(margin_loss(T.spatial_mean(T.sub(e_norm, pixel_entropy(f_minus)))))
+    e_norm = T.pixel_entropy_map(f_norm)
+    gap_plus = T.global_avg_pool(T.sub(T.pixel_entropy_map(f_plus), e_norm))
+    l_plus = T.batch_mean(T.softplus(gap_plus))
+    gap_minus = T.global_avg_pool(T.sub(e_norm, T.pixel_entropy_map(f_minus)))
+    l_minus = T.batch_mean(T.softplus(gap_minus))
     return l_plus, l_minus
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "OracleError",
-    "tensor",
     "zeros",
     "ones",
     "scalar",
@@ -34,15 +33,11 @@ __all__ = [
     "conv2d",
     "global_avg_pool",
     "fully_connected",
-    "softmax_channels",
     "pixel_entropy_map",
-    "channel_sum",
-    "spatial_mean",
     "batch_mean",
     "sum_all",
     "mean_all",
     "upsample_bilinear2x",
-    "concat_channels",
     "to_matrix",
     "matmul",
     "transpose_mat",
@@ -64,6 +59,7 @@ class OracleError(RuntimeError):
 
 
 _ACTIVE_TAPE = None
+_CLOSED_TAPE = None
 
 
 class Tensor:
@@ -125,20 +121,21 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("parents", "backward_fn", "shape")
+    __slots__ = ("parents", "backward_fn")
 
-    def __init__(self, parents, backward_fn, shape):
+    def __init__(self, parents, backward_fn):
         self.parents = parents
         self.backward_fn = backward_fn
-        self.shape = shape
 
 
 class Tape:
     """Reverse-mode record for one forward/backward cycle.
 
     Use as a context manager; ops executed inside record nodes for any
-    result that depends on a requires_grad tensor.  The active tape is a
-    module global, so at most one tape is active per process.
+    result that depends on a requires_grad tensor, and backward() runs
+    inside the block; grad() still answers afterwards.  The active tape is
+    a module global, so at most one tape is active per process, and a
+    closed tape's record is dropped when the next tape closes.
     """
 
     def __init__(self):
@@ -153,8 +150,15 @@ class Tape:
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
+        global _ACTIVE_TAPE, _CLOSED_TAPE
         _ACTIVE_TAPE = None
+        # A record is a reference cycle (closures hold tensors whose _tape is
+        # this tape).  Drop the previous closed record, not this one: freeing
+        # a whole step at once returns its pages to the OS, and the next fresh
+        # 48x48 plain net faults about 6,000 of them back in.
+        if _CLOSED_TAPE is not None:
+            _CLOSED_TAPE.nodes = []
+        _CLOSED_TAPE = self
         return False
 
     def _leaf(self, t):
@@ -163,7 +167,7 @@ class Tape:
             return t._nid
         if t.requires_grad:
             nid = len(self.nodes)
-            self.nodes.append(_Node((), None, t.shape))
+            self.nodes.append(_Node((), None))
             t._tape = self
             t._nid = nid
             return nid
@@ -171,12 +175,14 @@ class Tape:
 
     def _emit(self, out, parent_ids, backward_fn):
         nid = len(self.nodes)
-        self.nodes.append(_Node(tuple(parent_ids), backward_fn, out.shape))
+        self.nodes.append(_Node(tuple(parent_ids), backward_fn))
         out._tape = self
         out._nid = nid
 
     def backward(self, root):
         """Accumulate d(root)/d(node) for every node reachable from root."""
+        if _ACTIVE_TAPE is not self:
+            raise ContractError("backward() must run inside the tape's with-block")
         if root.data.shape != (1, 1, 1, 1):
             raise ContractError(f"backward root must be scalar (1,1,1,1), got {root.shape}")
         if root._tape is not self or root._nid is None:
@@ -206,13 +212,6 @@ class Tape:
         return np.zeros(t.shape)
 
 
-def tensor(data, requires_grad=False):
-    arr = np.asarray(data, dtype=np.float64)
-    while arr.ndim < 4:
-        arr = arr[np.newaxis]
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad=False):
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
@@ -234,7 +233,7 @@ def _maybe_record(out, inputs, backward_fn):
         return out
     live = [(i, p) for i, p in enumerate(pids) if p is not None]
 
-    def bwd(g, _live=live, _n=len(inputs), _fn=backward_fn):
+    def bwd(g, _live=live, _fn=backward_fn):
         full = _fn(g)
         return [full[i] for i, _ in _live]
 
@@ -419,20 +418,6 @@ def fully_connected(x, w, b):
     return _maybe_record(out, (x, w, b), bwd)
 
 
-def softmax_channels(x):
-    """Softmax over the channel axis at every (n, h, w) position."""
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _maybe_record(out, (x,), bwd)
-
-
 def pixel_entropy_map(x):
     """Per-pixel Shannon entropy of the channel softmax, output (N,1,H,W)."""
     if x.shape[1] < 2:
@@ -449,16 +434,6 @@ def pixel_entropy_map(x):
         return (g * (-p * (logp + ent)),)
 
     return _maybe_record(out, (x,), bwd)
-
-
-def channel_sum(x):
-    n, c, h, w = x.shape
-    out = Tensor(x.data.sum(axis=1, keepdims=True))
-    return _maybe_record(out, (x,), lambda g: (np.broadcast_to(g, (n, c, h, w)).copy(),))
-
-
-def spatial_mean(x):
-    return global_avg_pool(x)
 
 
 def batch_mean(x):
@@ -500,14 +475,6 @@ def upsample_bilinear2x(x):
     awt = _bilinear_matrix(w).T
     out = Tensor(np.matmul(np.matmul(ah, x.data), awt))
     return _maybe_record(out, (x,), lambda g: (np.matmul(np.matmul(ah.T, g), awt.T),))
-
-
-def concat_channels(a, b):
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat_channels: incompatible {a.shape} vs {b.shape}")
-    ca = a.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    return _maybe_record(out, (a, b), lambda g: (g[:, :ca], g[:, ca:]))
 
 
 def to_matrix(x):

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from . import net as N
 from . import isw as W
 from . import data as D
@@ -77,13 +76,12 @@ def _batch_arrays(samples, idxs):
     return x, m
 
 
-def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
-          log_name="train_log.csv"):
+def train(net, cfg, train_samples, val_samples, out_dir=None):
     """Train net on source samples; returns (best_params, log_rows, stats).
 
-    dife_free uses the reference forward path with no block code at all;
-    the default path reduces to it when the config carries empty block sets
-    and zero loss weights.
+    Every step runs forward_pair and total_loss.  With empty block sets and
+    zero loss weights that is the plain encoder-decoder baseline, equal bit
+    for bit to SegNet.forward_baseline.
     """
     ncfg = net.cfg
     params = net.parameters()
@@ -96,7 +94,7 @@ def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
     stats_by_stage = {
         s: W.CovarianceStats(ncfg.stage_channels[s - 1], ncfg.k)
         for s in sorted(ncfg.isw_stages)
-    } if not dife_free else {}
+    }
     use_isw = bool(stats_by_stage) and ncfg.lambda1 > 0
     log_rows = []
     best = {"miou": -1.0, "params": None, "epoch": 0}
@@ -111,29 +109,23 @@ def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
             if cfg.flip_augment:
                 for j in range(len(idxs)):
                     images[j], masks[j] = D.random_flip(images[j], masks[j], rng)
-            # twin params are drawn even when unused, to keep the RNG stream
-            # identical between instrumented and plain runs
+            # twin params are drawn even when unused, so the RNG stream does
+            # not depend on the block placement
             twin_params = [cfg.twin.sample_params(rng) for _ in range(len(idxs))]
             lr = poly_lr(step, total_steps, cfg)
             with Tape() as tape:
-                if dife_free or (not ncfg.snr_stages and not ncfg.isw_stages):
-                    logits = net.forward_baseline(Tensor(images)) if dife_free \
-                        else net.forward(Tensor(images))
-                    loss = N.task_loss(logits, masks)
-                    breakdown = {"task": loss.item(), "total": loss.item()}
-                else:
-                    twins = np.stack([
-                        D.apply_photometric(images[j], cfg.twin, params=twin_params[j])
-                        for j in range(len(idxs))
-                    ])
-                    record = N.forward_pair(Tensor(images), Tensor(twins), net)
-                    if use_isw and warm:
-                        for s, (tx_, ttx_) in record.cov_pairs.items():
-                            W.update_warmup(stats_by_stage[s], tx_.detached(), ttx_.detached())
-                    loss, breakdown = N.total_loss(
-                        record, masks, ncfg,
-                        stats_by_stage if (use_isw and not warm) else None,
-                    )
+                x = tx = Tensor(images)
+                if ncfg.isw_stages:
+                    tx = Tensor(np.stack([D.apply_photometric(img, p)
+                                          for img, p in zip(images, twin_params)]))
+                record = N.forward_pair(x, tx, net)
+                if use_isw and warm:
+                    for s, (tx_, ttx_) in record.cov_pairs.items():
+                        W.update_warmup(stats_by_stage[s], tx_.detached(), ttx_.detached())
+                loss, breakdown = N.total_loss(
+                    record, masks, ncfg,
+                    stats_by_stage if (use_isw and not warm) else None,
+                )
                 if loss.has_nonfinite():
                     raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
                 tape.backward(loss)
@@ -142,8 +134,10 @@ def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
                 sums[key] = sums.get(key, 0.0) + val
             step += 1
         if use_isw and epoch == cfg.warmup_epochs:
-            for s in sorted(stats_by_stage):
-                stats_by_stage[s].freeze()
+            for s, stats in sorted(stats_by_stage.items()):
+                if not np.isfinite(stats.v).all():
+                    raise NumericalError(f"non-finite warm-up variance V at ISW stage {s}")
+                stats.freeze()
         report = evaluate(net, val_samples, ncfg.num_classes)
         row = {"epoch": epoch, "lr": poly_lr(min(step, total_steps), total_steps, cfg),
                "val_miou": report.miou}
@@ -161,7 +155,7 @@ def train(net, cfg, train_samples, val_samples, out_dir=None, dife_free=False,
             p.tensor.data = data
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_log(os.path.join(out_dir, log_name), log_rows)
+        _write_log(os.path.join(out_dir, "train_log.csv"), log_rows)
         N.save_checkpoint(os.path.join(out_dir, "checkpoint.dife"), net)
     return best, log_rows, stats_by_stage
 
@@ -190,12 +184,9 @@ def predict(net, images, batch_size=8):
 
 
 def evaluate(net, samples, num_classes, batch_size=8):
-    """MetricsReport over a dataset, including per-sample mean IoU."""
+    """MetricsReport over a dataset, from counts summed image by image."""
     total = ConfusionCounts(num_classes)
-    sample_ious = []
     preds = predict(net, [s.image for s in samples], batch_size)
     for pred, sample in zip(preds, samples):
-        counts = confusion_from_masks(pred, sample.mask, num_classes)
-        total.add(counts)
-        sample_ious.append(compute_report(counts).miou)
-    return compute_report(total, sample_ious)
+        total.add(confusion_from_masks(pred, sample.mask, num_classes))
+    return compute_report(total)

@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dife.cli as C
 import dife.gradcheck as G
+import dife.isw as W
 import dife.net as N
 import dife.tensor as T
 from dife.cli import main
@@ -22,7 +24,7 @@ def tree_hash(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             digest.update(os.path.relpath(path, root).encode())
-            digest.update(open(path, "rb").read())
+            digest.update(Path(path).read_bytes())
     return digest.hexdigest()
 
 
@@ -166,6 +168,19 @@ class TestTrainEvalCommands:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(config_file),
                          "--set", "train.lr0=1e6"]) == C.EXIT_NUMERIC
+
+    def test_nonfinite_warmup_variance_is_numeric_error(self, config_file, monkeypatch,
+                                                        capsys):
+        real = W.update_warmup
+
+        def poisoned(stats, theta_x, theta_tx):
+            real(stats, theta_x, theta_tx)
+            stats.v_sum[0, 1] = np.inf
+            return stats
+
+        monkeypatch.setattr(W, "update_warmup", poisoned)
+        assert main(["train", "--config", str(config_file)]) == C.EXIT_NUMERIC
+        assert "ISW stage 1" in capsys.readouterr().err
 
 
 class TestAblate:

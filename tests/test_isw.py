@@ -159,6 +159,12 @@ class TestKmeans1d:
         with pytest.raises(W.DegenerateClusterError):
             W.kmeans_1d([2.0, 2.0, 2.0], 2)
 
+    def test_nonfinite_value_rejected_naming_index(self):
+        with pytest.raises(ContractError, match="index 1"):
+            W.kmeans_1d([0.1, np.nan, 0.3, 5.0], 2)
+        with pytest.raises(ContractError, match="index 3"):
+            W.kmeans_1d([0.1, 0.2, 0.3, np.inf], 2)
+
     def test_two_points_two_clusters(self):
         labels, centroids = W.kmeans_1d([10.0, 0.0], 2)
         assert centroids.tolist() == [0.0, 10.0]
@@ -312,25 +318,6 @@ class TestIswLoss:
         tail = history[10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert history[-1] < history[10]
-
-
-class TestDwtLoss:
-    def _theta(self, mat):
-        return Tensor(np.asarray(mat)[None, None])
-
-    def test_identity_gives_zero(self):
-        assert W.dwt_loss(self._theta(np.eye(3))).item() == 0.0
-
-    def test_two_eye(self):
-        assert W.dwt_loss(self._theta(2.0 * np.eye(2))).item() == pytest.approx(0.5)
-
-    def test_zero_matrix(self):
-        assert W.dwt_loss(self._theta(np.zeros((2, 2)))).item() == pytest.approx(0.5)
-
-    def test_zero_iff_identity(self):
-        rng = np.random.default_rng(2)
-        theta = np.eye(4) + rng.uniform(-0.1, 0.1, (4, 4))
-        assert W.dwt_loss(self._theta(theta)).item() > 1e-12
 
 
 class TestWarmup:

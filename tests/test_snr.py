@@ -13,6 +13,11 @@ def feat(arr):
     return Tensor(a)
 
 
+def dc_total(f_norm, f_plus, f_minus):
+    """L+ + L-, the dual-causality loss that total_loss uses in "full" mode."""
+    return T.add(*S.dual_causality_terms(f_norm, f_plus, f_minus))
+
+
 class TestInstanceNormalize:
     def test_constant_channel_goes_to_zero(self):
         f = feat(np.full((1, 1, 1, 4), 5.0))
@@ -118,50 +123,50 @@ class TestRestitutionSplit:
 
 class TestPixelEntropy:
     def test_uniform_logits(self):
-        e = S.pixel_entropy(T.zeros((1, 4, 2, 2)))
+        e = T.pixel_entropy_map(T.zeros((1, 4, 2, 2)))
         assert np.allclose(e.data, np.log(4.0), atol=1e-12)
 
     def test_peaked_logits(self):
         f = T.zeros((1, 3, 1, 1))
         f.data[0, 0] = 50.0
-        assert S.pixel_entropy(f).item() < 1e-10
+        assert T.pixel_entropy_map(f).item() < 1e-10
 
     def test_two_logit_case(self):
         f = feat(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-        assert S.pixel_entropy(f).item() == pytest.approx(0.58220, abs=1e-5)
+        assert T.pixel_entropy_map(f).item() == pytest.approx(0.58220, abs=1e-5)
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             c = rng.integers(2, 6)
             f = Tensor(rng.uniform(-20, 20, (1, int(c), 3, 3)))
-            e = S.pixel_entropy(f).data
+            e = T.pixel_entropy_map(f).data
             assert np.all(e >= 0.0) and np.all(e <= np.log(c) + 1e-12)
 
     def test_single_channel_rejected(self):
         with pytest.raises(T.ShapeError):
-            S.pixel_entropy(T.zeros((1, 1, 2, 2)))
+            T.pixel_entropy_map(T.zeros((1, 1, 2, 2)))
 
 
 class TestMarginLoss:
     def test_at_zero(self):
-        assert S.margin_loss(T.scalar(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-15)
+        assert T.softplus(T.scalar(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_large_negative(self):
-        assert S.margin_loss(T.scalar(-100.0)).item() < 1e-40
+        assert T.softplus(T.scalar(-100.0)).item() < 1e-40
 
     def test_at_one(self):
-        assert S.margin_loss(T.scalar(1.0)).item() == pytest.approx(np.log(1 + np.e), abs=1e-12)
+        assert T.softplus(T.scalar(1.0)).item() == pytest.approx(np.log(1 + np.e), abs=1e-12)
 
     def test_large_positive_overflow_safe(self):
-        out = S.margin_loss(T.scalar(1000.0)).item()
+        out = T.softplus(T.scalar(1000.0)).item()
         assert np.isfinite(out) and out == pytest.approx(1000.0, abs=1e-9)
 
 
 class TestDualCausalityLoss:
     def test_all_equal_gives_two_ln_two(self):
         f = Tensor(np.random.default_rng(0).normal(size=(1, 4, 2, 2)))
-        loss = S.dual_causality_loss(f, f, f)
+        loss = dc_total(f, f, f)
         assert loss.item() == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_peaked_plus_closed_form(self):
@@ -170,7 +175,7 @@ class TestDualCausalityLoss:
         f_plus = T.zeros((1, c, 2, 2))
         f_plus.data[:, 0] = 500.0               # entropy ~ 0
         f_minus = T.zeros((1, c, 2, 2))
-        loss = S.dual_causality_loss(f_norm, f_plus, f_minus)
+        loss = dc_total(f_norm, f_plus, f_minus)
         expected = np.log(1 + np.exp(-np.log(c))) + np.log(2.0)
         assert loss.item() == pytest.approx(expected, abs=1e-9)
 
@@ -191,19 +196,19 @@ class TestDualCausalityLoss:
         gap_p = (entropy(fp) - entropy(fn)).mean()
         gap_m = (entropy(fn) - entropy(fm)).mean()
         expected = np.log1p(np.exp(gap_p)) + np.log1p(np.exp(gap_m))
-        loss = S.dual_causality_loss(Tensor(fn), Tensor(fp), Tensor(fm))
+        loss = dc_total(Tensor(fn), Tensor(fp), Tensor(fm))
         assert loss.item() == pytest.approx(expected, abs=1e-9)
 
     def test_always_strictly_positive(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             fn, fp, fm = (Tensor(rng.uniform(-5, 5, (2, 3, 2, 2))) for _ in range(3))
-            assert S.dual_causality_loss(fn, fp, fm).item() > 0.0
+            assert dc_total(fn, fp, fm).item() > 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            S.dual_causality_loss(T.zeros((1, 4, 2, 2)), T.zeros((1, 4, 2, 2)),
-                                  T.zeros((1, 4, 2, 3)))
+            S.dual_causality_terms(T.zeros((1, 4, 2, 2)), T.zeros((1, 4, 2, 2)),
+                                   T.zeros((1, 4, 2, 3)))
 
 
 class TestSnrForward:

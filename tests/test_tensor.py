@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,30 @@ class TestBackward:
             tape.backward(y)
             assert np.all(tape.grad(z) == 0.0)
 
+    def test_backward_on_closed_tape_rejected(self):
+        x = T.ones((1, 1, 1, 2), requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_all(T.mul(x, x))
+        with pytest.raises(ContractError):
+            tape.backward(y)
+
+    def test_closed_tape_freed_without_cyclic_gc(self):
+        p = T.ones((1, 1, 2, 2), requires_grad=True)
+
+        def step():
+            with Tape() as tape:
+                h = T.scale(p, 2.0)
+                tape.backward(T.sum_all(T.add(h, h)))
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            first = step()
+            step()   # closes on step 1's record and re-tracks p
+            assert first() is None
+        finally:
+            gc.enable()
+
     def test_cross_entropy_grad_matches_fd(self):
         rng = np.random.default_rng(11)
         logits = Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True)
@@ -142,16 +169,6 @@ class TestFiniteDifference:
             T.finite_difference_gradient(T.sum_all, T.ones((1, 1, 1, 1)), eps=0.0)
 
 
-class TestSoftmax:
-    def test_sums_to_one_and_in_open_interval(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            x = Tensor(rng.uniform(-10, 10, (2, 5, 3, 3)))
-            p = T.softmax_channels(x).data
-            assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
-            assert np.all(p > 0.0) and np.all(p < 1.0)
-
-
 class TestOther:
     def test_upsample_constant_stays_constant(self):
         x = Tensor(np.full((1, 2, 3, 3), 1.5))
@@ -170,13 +187,6 @@ class TestOther:
         b = T.zeros((2, 3, 1, 4))
         with pytest.raises(ShapeError):
             T.add(a, b)
-
-    def test_concat_channels(self):
-        a = T.ones((1, 2, 2, 2))
-        b = T.zeros((1, 3, 2, 2))
-        out = T.concat_channels(a, b)
-        assert out.shape == (1, 5, 2, 2)
-        assert np.all(out.data[:, :2] == 1.0) and np.all(out.data[:, 2:] == 0.0)
 
 
 def test_every_primitive_matches_finite_differences():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dife.data as D
+import dife.isw as W
 import dife.net as N
 import dife.train as TR
 from dife.metrics import (ConfusionCounts, compute_report,
@@ -234,15 +235,17 @@ class TestPairedTTest:
 
 
 class TestTrainLoop:
-    def test_zero_weight_config_matches_plain_trainer(self, tiny_sets):
+    def test_zero_weight_config_matches_plain_trainer(self, tiny_sets, monkeypatch):
         train_set, val_set = tiny_sets
         cfg = TrainConfig(epochs=1, seed=3, warmup_epochs=1)
         plain_cfg = NetConfig(snr_stages=frozenset(), isw_stages=frozenset(),
                               lambda1=0.0, lambda2=0.0)
         net_a = SegNet(plain_cfg, seed=3)
         TR.train(net_a, cfg, train_set, val_set)
+        monkeypatch.setattr(N, "forward_pair", lambda x, tx, net:
+                            N.ForwardRecord(logits=net.forward_baseline(x)))
         net_b = SegNet(plain_cfg, seed=3)
-        TR.train(net_b, cfg, train_set, val_set, dife_free=True)
+        TR.train(net_b, cfg, train_set, val_set)
         for pa, pb in zip(net_a.parameters(), net_b.parameters()):
             assert np.array_equal(pa.data, pb.data), pa.name
 
@@ -252,7 +255,7 @@ class TestTrainLoop:
         blobs = []
         for run in ("a", "b"):
             out = tmp_path / run
-            net = SegNet(NetConfig(warmup_epochs=1), seed=5)
+            net = SegNet(NetConfig(), seed=5)
             TR.train(net, cfg, train_set, val_set, out_dir=out)
             blobs.append(((out / "checkpoint.dife").read_bytes(),
                           (out / "train_log.csv").read_bytes()))
@@ -263,11 +266,26 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=5, seed=7, warmup_epochs=1)
         net = SegNet(NetConfig(snr_stages=frozenset(), isw_stages=frozenset(),
                                lambda1=0.0, lambda2=0.0), seed=7)
-        _, rows, _ = TR.train(net, cfg, train_set, val_set, dife_free=True)
+        _, rows, _ = TR.train(net, cfg, train_set, val_set)
         losses = [r["loss_total"] for r in rows]
         assert losses[-1] < losses[0]
         drops = sum(b <= a for a, b in zip(losses, losses[1:]))
         assert drops >= 0.8 * (len(losses) - 1)
+
+    def test_nonfinite_warmup_variance_names_stage(self, tiny_sets, monkeypatch):
+        train_set, val_set = tiny_sets
+        real = W.update_warmup
+
+        def poisoned(stats, theta_x, theta_tx):
+            real(stats, theta_x, theta_tx)
+            if stats.channels == 16:
+                stats.v_sum[0, 1] = np.nan
+            return stats
+
+        monkeypatch.setattr(W, "update_warmup", poisoned)
+        net = SegNet(NetConfig(), seed=0)
+        with pytest.raises(NumericalError, match="ISW stage 2"):
+            TR.train(net, TrainConfig(epochs=1, seed=0, warmup_epochs=1), train_set, val_set)
 
     def test_empty_split_rejected(self, tiny_sets):
         train_set, _ = tiny_sets
@@ -282,4 +300,3 @@ class TestTrainLoop:
         rev = evaluate(net, list(reversed(train_set)), 4)
         assert fwd.miou == rev.miou
         assert fwd.pixel_accuracy == rev.pixel_accuracy
-        assert sorted(fwd.sample_ious) == sorted(rev.sample_ious)
