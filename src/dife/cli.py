@@ -145,7 +145,11 @@ def cmd_ablate(args):
     base_overrides = list(args.set or [])
     payloads = [(args.config, base_overrides + overrides, cfg["data.root"])
                 for _, overrides in cells]
-    workers = int(os.environ.get("DIFE_THREADS", "1"))
+    threads = os.environ.get("DIFE_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ConfigError(f"DIFE_THREADS must be an integer, got {threads!r}") from None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, payloads))
@@ -228,7 +232,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ConfigError, ContractError, D.FormatError, D.GenerationError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TR.NumericalError as exc:

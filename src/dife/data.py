@@ -329,6 +329,11 @@ def load_dataset(root, domain, split):
         if not name.startswith("img_"):
             continue
         idx = name[4:9]
-        samples.append(read_sample(os.path.join(d, name),
-                                   os.path.join(d, f"msk_{idx}.pgm"), domain=domain))
+        img_path = os.path.join(d, name)
+        sample = read_sample(img_path, os.path.join(d, f"msk_{idx}.pgm"), domain=domain)
+        size = samples[0].mask.shape if samples else sample.image.shape[1:]
+        if sample.image.shape[1:] != size or sample.mask.shape != size:
+            raise FormatError(f"{img_path}: image {sample.image.shape[1:]} and mask "
+                              f"{sample.mask.shape} must both match the split's {size}")
+        samples.append(sample)
     return samples

@@ -81,6 +81,10 @@ def suite_tensor(seeds=range(20)):
         w = _rand(rng, (4, 3, 3, 3), -0.8, 0.8)
         bias = _rand(rng, (1, 4, 1, 1))
         record("conv2d_x", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 1, 1), [x, w, bias], 0))
+        # dx of the stride-2 `down` convs (scatter-add) and of the 1x1 head (unpadded)
+        record("conv2d_x_s2", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 2, 1), [x, w, bias], 0))
+        w1 = Tensor(w.data[:, :, 1:2, 1:2])
+        record("conv2d_x_1x1", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 1, 0), [x, w1, bias], 0))
         record("conv2d_w", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 1, 1), [x, w, bias], 1))
         record("conv2d_b", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 2, 1), [x, w, bias], 2))
         fx = _rand(rng, (2, 4, 1, 1))

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import ContractError
+
 __all__ = ["ConfusionCounts", "MetricsReport", "confusion_from_masks", "compute_report"]
 
 
@@ -42,7 +44,7 @@ def confusion_from_masks(pred, gt, num_classes, ignore_index=-1):
     keep = gt != ignore_index
     pred, gt = pred[keep], gt[keep]
     if ((gt < 0) | (gt >= num_classes)).any():
-        raise ValueError(f"ground-truth class out of range 0..{num_classes - 1}")
+        raise ContractError(f"ground-truth class out of range 0..{num_classes - 1}")
     if ((pred < 0) | (pred >= num_classes)).any():
         raise ValueError(f"predicted class out of range 0..{num_classes - 1}")
     counts = ConfusionCounts(num_classes)

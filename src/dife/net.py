@@ -130,6 +130,9 @@ class SegNet:
 
     def encode(self, x, record=None, use_blocks=True):
         """Run the encoder; returns per-stage output features (post-SNR)."""
+        if x.shape[2] % 4 or x.shape[3] % 4:
+            # two stride-2 stages, then two 2x upsamples: logits match x only then
+            raise ContractError(f"encode: input {x.shape[2]}x{x.shape[3]} is not a multiple of 4")
         cfg = self.cfg
         feats = []
         h = x

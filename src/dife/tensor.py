@@ -198,10 +198,11 @@ class Tape:
             for pid, pg in zip(node.parents, parent_grads):
                 if pg is None:
                     continue
+                # Out of place: a stored gradient may be another node's array.
                 if self.grads[pid] is None:
-                    self.grads[pid] = pg.copy()
+                    self.grads[pid] = pg
                 else:
-                    self.grads[pid] += pg
+                    self.grads[pid] = self.grads[pid] + pg
 
     def grad(self, t):
         """Gradient buffer for t after backward(); zeros if unreachable."""
@@ -376,13 +377,23 @@ def conv2d(x, w, b, stride=1, pad=0):
     out_data = np.matmul(wmat, cols).reshape(n, co, ho, wo) + b.data
     out = Tensor(out_data)
     xshape = x.shape
+    # Nothing reads dx of an input without a tape node (the image), so skip it.
+    need_dx = x.requires_grad or x.node_id is not None
 
     def bwd(g):
         gm = g.reshape(n, co, ho * wo)
         dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
-        dcols = np.matmul(wmat.T, gm)
-        dx = _col2im(dcols, xshape, kh, kw, stride, pad)
+        if not need_dx:
+            return (None, dw, db)
+        if stride == 1 and kh == kw and pad < kh:
+            # Transposed convolution: the output gradient padded by k-1-pad,
+            # correlated with the flipped kernel, C_in and C_out swapped.
+            gcols, _ = _im2col(g, kh, kw, 1, kh - 1 - pad)
+            wflip = wmat.reshape(co, ci, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            wflip = wflip.reshape(ci, co * kh * kw)
+            return (np.matmul(wflip, gcols).reshape(xshape), dw, db)
+        dx = _col2im(np.matmul(wmat.T, gm), xshape, kh, kw, stride, pad)
         return (dx, dw, db)
 
     return _maybe_record(out, (x, w, b), bwd)

@@ -195,6 +195,11 @@ class TestAblate:
         with pytest.raises(ConfigError):
             C._ablation_cells("widths", cfg)
 
+    def test_non_integer_threads_is_config_error(self, config_file, monkeypatch, capsys):
+        monkeypatch.setenv("DIFE_THREADS", "abc")
+        assert main(["ablate", "--config", str(config_file), "--axis", "k"]) == C.EXIT_CONFIG
+        assert "DIFE_THREADS" in capsys.readouterr().err
+
     def test_dcloss_sweep_writes_four_rows(self, config_file, tmp_path):
         out = tmp_path / "sweep"
         assert main(["ablate", "--config", str(config_file), "--axis", "dcloss",
@@ -234,6 +239,14 @@ class TestGradcheck:
 class TestParser:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == C.EXIT_CONFIG
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            return np.zeros(3).reshape(2, 2)
+
+        monkeypatch.setattr(C.D, "write_dataset", broken)
+        with pytest.raises(ValueError, match="reshape"):
+            main(["generate", "--out", str(tmp_path / "d"), "--count", "10", "--seed", "1"])
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -219,3 +219,19 @@ class TestDatasetLayout:
         originals = generate_domain(5, "target", 11, (32, 32))
         test = D.load_dataset(tmp_path, "target", "test")
         assert np.array_equal(test[0].mask, originals[4].mask)
+
+    @pytest.mark.parametrize("mask_size", [(28, 28), (32, 36)])
+    def test_mask_size_mismatch_rejected(self, tmp_path, mask_size):
+        D.write_dataset(tmp_path, 10, 3, (32, 32))
+        bad = tmp_path / "source" / "train" / "img_00003.ppm"
+        D.write_pgm(bad.with_name("msk_00003.pgm"), np.zeros(mask_size, dtype=np.int64))
+        with pytest.raises(FormatError, match="img_00003"):
+            D.load_dataset(tmp_path, "source", "train")
+
+    def test_mixed_sample_sizes_rejected(self, tmp_path):
+        D.write_dataset(tmp_path, 10, 3, (32, 32))
+        odd = generate_domain(1, "source", 9, (36, 36))[0]
+        split = tmp_path / "source" / "train"
+        D.write_sample(split / "img_00005.ppm", split / "msk_00005.pgm", odd)
+        with pytest.raises(FormatError, match="img_00005"):
+            D.load_dataset(tmp_path, "source", "train")

@@ -61,6 +61,12 @@ class TestForward:
             v, _ = W.covariance_variance(theta_x.data, theta_tx.data)
             assert np.abs(v).max() == 0.0
 
+    @pytest.mark.parametrize("h,w", [(34, 32), (32, 30), (10, 10)])
+    def test_size_not_multiple_of_4_rejected(self, h, w):
+        # the logits would come back at another size than the mask
+        with pytest.raises(ContractError, match="multiple of 4"):
+            make_net().forward(Tensor(np.zeros((1, 3, h, w))))
+
     def test_mismatched_views_rejected(self):
         net = make_net()
         with pytest.raises(ShapeError):

@@ -70,6 +70,89 @@ class TestConv2d:
         assert out.shape == (1, 1, 4, 5)
 
 
+def col2im_conv_grads(x, w, g, stride, pad):
+    """Conv backward with dx as a col2im scatter-add at every stride: the
+    reference for conv2d's backward.
+
+    dw and db use the same expressions as conv2d, so they must match bit for
+    bit; dx sums in another order, so it matches to rounding.
+    """
+    co, ci, kh, kw = w.shape
+    n = x.shape[0]
+    cols, (ho, wo) = T._im2col(x, kh, kw, stride, pad)
+    gm = g.reshape(n, co, ho * wo)
+    dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
+    dx = T._col2im(np.matmul(w.reshape(co, ci * kh * kw).T, gm), x.shape, kh, kw, stride, pad)
+    return dx, dw, db
+
+
+def conv_tape_grads(x, w, b, stride, pad, g):
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        y = T.conv2d(xt, wt, bt, stride, pad)
+        tape.backward(T.sum_all(T.mul(y, Tensor(g))))
+        return tape.grad(xt), tape.grad(wt), tape.grad(bt)
+
+
+# every conv of the net at 48x48 (batch 2), then odd sizes over k, stride and pad,
+# then two non-square kernels
+NET_CONVS = [
+    ((2, 3, 48, 48), (8, 3, 3, 3), 1, 1), ((2, 8, 48, 48), (8, 8, 3, 3), 1, 1),
+    ((2, 8, 48, 48), (8, 8, 3, 3), 2, 1), ((2, 8, 24, 24), (16, 8, 3, 3), 1, 1),
+    ((2, 16, 24, 24), (16, 16, 3, 3), 1, 1), ((2, 16, 24, 24), (16, 16, 3, 3), 2, 1),
+    ((2, 16, 12, 12), (32, 16, 3, 3), 1, 1), ((2, 32, 12, 12), (32, 32, 3, 3), 1, 1),
+    ((2, 32, 24, 24), (16, 32, 3, 3), 1, 1), ((2, 16, 48, 48), (8, 16, 3, 3), 1, 1),
+    ((2, 8, 48, 48), (4, 8, 1, 1), 1, 0),
+]
+ODD_CONVS = [((2, 3, h, wd), (4, 3, k, k), stride, pad)
+             for k in (1, 3, 5) for stride in (1, 2, 3) for pad in range(k + 1)
+             for h, wd in ((7, 9), (6, 5))
+             if h + 2 * pad >= k and wd + 2 * pad >= k]
+ODD_CONVS += [((2, 3, 7, 9), (4, 3, 3, 1), 1, 0), ((2, 3, 7, 9), (4, 3, 1, 3), 1, 1)]
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", NET_CONVS + ODD_CONVS)
+    def test_matches_col2im_reference(self, xshape, wshape, stride, pad):
+        # pad = k covers pad > k-1 (k=1 pad 1, k=3 pad 3), outside the transposed path
+        rng = np.random.default_rng(sum(xshape) + 7 * sum(wshape) + 3 * stride + pad)
+        x = rng.normal(size=xshape)
+        w = rng.normal(size=wshape)
+        b = rng.normal(size=(1, wshape[0], 1, 1))
+        ho = (xshape[2] + 2 * pad - wshape[2]) // stride + 1
+        wo = (xshape[3] + 2 * pad - wshape[3]) // stride + 1
+        g = rng.normal(size=(xshape[0], wshape[0], ho, wo))
+        dx, dw, db = conv_tape_grads(x, w, b, stride, pad, g)
+        ref_dx, ref_dw, ref_db = col2im_conv_grads(x, w, g, stride, pad)
+        assert dx.shape == xshape
+        assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+        assert np.array_equal(dw, ref_dw)
+        assert np.array_equal(db, ref_db)
+
+    def test_untracked_input_gets_no_dx_work(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
+        calls = []
+        for name in ("_im2col", "_col2im"):
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        for stride in (1, 2):
+            xt = Tensor(x)
+            wt = Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                y = T.conv2d(xt, wt, T.zeros((1, 4, 1, 1)), stride, 1)
+                root = T.sum_all(y)
+                calls.clear()
+                tape.backward(root)
+                assert calls == []
+                assert np.all(tape.grad(xt) == 0.0)
+                assert np.abs(tape.grad(wt)).max() > 0.0
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = t4([1.0, 2.0, 3.0], (1, 1, 1, 3))
@@ -128,6 +211,18 @@ class TestBackward:
             assert first() is None
         finally:
             gc.enable()
+
+    def test_fan_in_accumulation_leaves_stored_gradients_alone(self):
+        # add(h, h) hands the same array to both parents; an in-place
+        # accumulation would also rewrite the gradient stored for s
+        a = Tensor(np.array([1.0, -2.0, 3.0]).reshape(1, 1, 1, 3), requires_grad=True)
+        with Tape() as tape:
+            h = T.scale(a, 2.0)
+            s = T.add(h, h)
+            tape.backward(T.sum_all(T.mul(s, s)))
+            assert np.array_equal(tape.grad(s), 2.0 * s.data)
+            assert np.array_equal(tape.grad(h), 4.0 * s.data)
+            assert np.array_equal(tape.grad(a), 8.0 * s.data)
 
     def test_cross_entropy_grad_matches_fd(self):
         rng = np.random.default_rng(11)

@@ -162,6 +162,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="range"):
             confusion_from_masks(np.array([[5]]), np.array([[0]]), 2)
 
+    def test_out_of_range_ground_truth_is_contract_error(self):
+        # a mask file with a class the net does not have is bad input (exit 2)
+        with pytest.raises(ContractError, match="ground-truth"):
+            confusion_from_masks(np.array([[0]]), np.array([[9]]), 2)
+
     def test_counts_merge_associative(self):
         rng = np.random.default_rng(2)
         pairs = [(rng.integers(0, 3, (4, 4)), rng.integers(0, 3, (4, 4)))
