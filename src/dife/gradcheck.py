@@ -86,6 +86,8 @@ def suite_tensor(seeds=range(20)):
         w1 = Tensor(w.data[:, :, 1:2, 1:2])
         record("conv2d_x_1x1", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 1, 0), [x, w1, bias], 0))
         record("conv2d_w", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 1, 1), [x, w, bias], 1))
+        # dw at stride 2 reads the odd-phase rows of the lowered input
+        record("conv2d_w_s2", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 2, 1), [x, w, bias], 1))
         record("conv2d_b", check_op(lambda x_, w_, b_: T.conv2d(x_, w_, b_, 2, 1), [x, w, bias], 2))
         fx = _rand(rng, (2, 4, 1, 1))
         fw = _rand(rng, (3, 4, 1, 1))

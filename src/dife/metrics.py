@@ -46,7 +46,7 @@ def confusion_from_masks(pred, gt, num_classes, ignore_index=-1):
     if ((gt < 0) | (gt >= num_classes)).any():
         raise ContractError(f"ground-truth class out of range 0..{num_classes - 1}")
     if ((pred < 0) | (pred >= num_classes)).any():
-        raise ValueError(f"predicted class out of range 0..{num_classes - 1}")
+        raise ContractError(f"predicted class out of range 0..{num_classes - 1}")
     counts = ConfusionCounts(num_classes)
     joint = np.bincount(gt * num_classes + pred, minlength=num_classes * num_classes)
     joint = joint.reshape(num_classes, num_classes)

@@ -331,21 +331,45 @@ def softplus(a):
     return _maybe_record(out, (a,), lambda g: (g * sig,))
 
 
-def _im2col(xd, kh, kw, stride, pad):
+def _lower(xd, kh, kw, stride, pad):
+    """Lower the zero-padded input along the width only (MEC, Cho & Brand 2017).
+
+    Returns low of shape (N, C*kw, s, R, Wo), s = stride, R = ceil(Hp/s), with
+    low[n, c*kw + j, ph, r, q] = padded x[n, c, s*r + ph, s*q + j], and the
+    output size (Ho, Wo).  Kernel row i reads the rows of _tap(low, i, s, Ho):
+    one copy of about kw times the input serves all kh rows.
+    """
     n, c, h, w = xd.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) too large for input ({h},{w}) with pad {pad}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    sn, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, ho * wo), (ho, wo)
+    r = -(-hp // stride)
+    # Frame rows past Hp (up to s*R) are zero and never read by a tap.
+    xp = np.zeros((n, c, stride * r, wp))
+    xp[:, :, pad : pad + h, pad : pad + w] = xd
+    low = np.empty((n, c, kw, stride, r, wo))
+    for j in range(kw):
+        cols = xp[:, :, :, j : j + stride * (wo - 1) + 1 : stride]
+        low[:, :, j] = cols.reshape(n, c, r, stride, wo).transpose(0, 1, 3, 2, 4)
+    return low.reshape(n, c * kw, stride, r, wo), (ho, wo)
+
+
+def _tap(low, i, stride, ho):
+    """Kernel row i of a lowered input as an (N, C*kw, Ho*Wo) view: its row
+    stride is Wo, so the reshape copies nothing and matmul reads it in place."""
+    n, ckw, _, _, wo = low.shape
+    return low[:, :, i % stride, i // stride : i // stride + ho].reshape(n, ckw, ho * wo)
+
+
+def _conv_lowered(low, wd, stride, ho, wo):
+    """Σ_i w[:, :, i, :] @ tap_i: the convolution of a lowered input with wd."""
+    co, ci, kh, kw = wd.shape
+    out = np.matmul(wd[:, :, 0].reshape(co, ci * kw), _tap(low, 0, stride, ho))
+    for i in range(1, kh):
+        out += np.matmul(wd[:, :, i].reshape(co, ci * kw), _tap(low, i, stride, ho))
+    return out.reshape(low.shape[0], co, ho, wo)
 
 
 def _col2im(cols, xshape, kh, kw, stride, pad):
@@ -372,9 +396,10 @@ def conv2d(x, w, b, stride=1, pad=0):
     if b.shape != (1, co, 1, 1):
         raise ShapeError(f"conv2d: bias must be (1,{co},1,1), got {b.shape}")
     n = x.shape[0]
-    cols, (ho, wo) = _im2col(x.data, kh, kw, stride, pad)
-    wmat = w.data.reshape(co, ci * kh * kw)
-    out_data = np.matmul(wmat, cols).reshape(n, co, ho, wo) + b.data
+    wd = w.data
+    low, (ho, wo) = _lower(x.data, kh, kw, stride, pad)
+    out_data = _conv_lowered(low, wd, stride, ho, wo)
+    out_data += b.data
     out = Tensor(out_data)
     xshape = x.shape
     # Nothing reads dx of an input without a tape node (the image), so skip it.
@@ -382,17 +407,20 @@ def conv2d(x, w, b, stride=1, pad=0):
 
     def bwd(g):
         gm = g.reshape(n, co, ho * wo)
-        dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dw = np.empty(w.shape)
+        for i in range(kh):
+            tap = _tap(low, i, stride, ho)
+            dw[:, :, i] = np.matmul(gm, tap.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kw)
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
         if not need_dx:
             return (None, dw, db)
         if stride == 1 and kh == kw and pad < kh:
             # Transposed convolution: the output gradient padded by k-1-pad,
             # correlated with the flipped kernel, C_in and C_out swapped.
-            gcols, _ = _im2col(g, kh, kw, 1, kh - 1 - pad)
-            wflip = wmat.reshape(co, ci, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            wflip = wflip.reshape(ci, co * kh * kw)
-            return (np.matmul(wflip, gcols).reshape(xshape), dw, db)
+            glow, (hi, wi) = _lower(g, kh, kw, 1, kh - 1 - pad)
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return (_conv_lowered(glow, wflip, 1, hi, wi), dw, db)
+        wmat = wd.reshape(co, ci * kh * kw)
         dx = _col2im(np.matmul(wmat.T, gm), xshape, kh, kw, stride, pad)
         return (dx, dw, db)
 

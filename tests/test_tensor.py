@@ -69,36 +69,60 @@ class TestConv2d:
         out = T.conv2d(x, w, b, stride=2, pad=1)
         assert out.shape == (1, 1, 4, 5)
 
+    def test_kernel_too_large_rejected(self):
+        x = T.zeros((1, 1, 2, 2))
+        w = T.zeros((1, 1, 3, 5))
+        with pytest.raises(ShapeError, match="too large"):
+            T.conv2d(x, w, T.zeros((1, 1, 1, 1)), stride=1, pad=1)
 
-def col2im_conv_grads(x, w, g, stride, pad):
-    """Conv backward with dx as a col2im scatter-add at every stride: the
-    reference for conv2d's backward.
 
-    dw and db use the same expressions as conv2d, so they must match bit for
-    bit; dx sums in another order, so it matches to rounding.
+def im2col(xd, kh, kw, stride, pad):
+    """Full im2col lowering (every kernel tap copied): the reference for conv2d."""
+    n, c, h, w = xd.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    sn, sc, sh, sw = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, kh, kw, ho, wo),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return view.reshape(n, c * kh * kw, ho * wo), (ho, wo)
+
+
+def im2col_conv(x, w, b, g, stride, pad):
+    """Conv forward and backward through im2col, dx as a col2im scatter-add at
+    every stride: the reference for conv2d.
+
+    db uses the same expression as conv2d, so it must match bit for bit; the
+    rest sum in another order, so they match to rounding.
     """
     co, ci, kh, kw = w.shape
     n = x.shape[0]
-    cols, (ho, wo) = T._im2col(x, kh, kw, stride, pad)
+    cols, (ho, wo) = im2col(x, kh, kw, stride, pad)
+    wmat = w.reshape(co, ci * kh * kw)
+    y = np.matmul(wmat, cols).reshape(n, co, ho, wo) + b
     gm = g.reshape(n, co, ho * wo)
     dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
-    dx = T._col2im(np.matmul(w.reshape(co, ci * kh * kw).T, gm), x.shape, kh, kw, stride, pad)
-    return dx, dw, db
+    dx = T._col2im(np.matmul(wmat.T, gm), x.shape, kh, kw, stride, pad)
+    return y, dx, dw, db
 
 
-def conv_tape_grads(x, w, b, stride, pad, g):
+def conv_tape(x, w, b, stride, pad, g):
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True)
     with Tape() as tape:
         y = T.conv2d(xt, wt, bt, stride, pad)
         tape.backward(T.sum_all(T.mul(y, Tensor(g))))
-        return tape.grad(xt), tape.grad(wt), tape.grad(bt)
+        return y.data, tape.grad(xt), tape.grad(wt), tape.grad(bt)
 
 
 # every conv of the net at 48x48 (batch 2), then odd sizes over k, stride and pad,
-# then two non-square kernels
+# then non-square kernels at stride 1 and 2
 NET_CONVS = [
     ((2, 3, 48, 48), (8, 3, 3, 3), 1, 1), ((2, 8, 48, 48), (8, 8, 3, 3), 1, 1),
     ((2, 8, 48, 48), (8, 8, 3, 3), 2, 1), ((2, 8, 24, 24), (16, 8, 3, 3), 1, 1),
@@ -111,7 +135,8 @@ ODD_CONVS = [((2, 3, h, wd), (4, 3, k, k), stride, pad)
              for k in (1, 3, 5) for stride in (1, 2, 3) for pad in range(k + 1)
              for h, wd in ((7, 9), (6, 5))
              if h + 2 * pad >= k and wd + 2 * pad >= k]
-ODD_CONVS += [((2, 3, 7, 9), (4, 3, 3, 1), 1, 0), ((2, 3, 7, 9), (4, 3, 1, 3), 1, 1)]
+ODD_CONVS += [((2, 3, 7, 9), (4, 3, 3, 1), 1, 0), ((2, 3, 7, 9), (4, 3, 1, 3), 1, 1),
+              ((2, 3, 7, 9), (4, 3, 2, 3), 2, 1)]
 
 
 class TestConvBackward:
@@ -125,18 +150,18 @@ class TestConvBackward:
         ho = (xshape[2] + 2 * pad - wshape[2]) // stride + 1
         wo = (xshape[3] + 2 * pad - wshape[3]) // stride + 1
         g = rng.normal(size=(xshape[0], wshape[0], ho, wo))
-        dx, dw, db = conv_tape_grads(x, w, b, stride, pad, g)
-        ref_dx, ref_dw, ref_db = col2im_conv_grads(x, w, g, stride, pad)
-        assert dx.shape == xshape
-        assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
-        assert np.array_equal(dw, ref_dw)
+        y, dx, dw, db = conv_tape(x, w, b, stride, pad, g)
+        ref_y, ref_dx, ref_dw, ref_db = im2col_conv(x, w, b, g, stride, pad)
+        assert y.shape == ref_y.shape and dx.shape == xshape
+        for got, ref in ((y, ref_y), (dx, ref_dx), (dw, ref_dw)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(db, ref_db)
 
     def test_untracked_input_gets_no_dx_work(self, monkeypatch):
         rng = np.random.default_rng(5)
         x, w = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
         calls = []
-        for name in ("_im2col", "_col2im"):
+        for name in ("_lower", "_col2im"):
             real = getattr(T, name)
             monkeypatch.setattr(T, name, lambda *a, _real=real, _name=name:
                                 calls.append(_name) or _real(*a))

@@ -159,8 +159,10 @@ class TestMetrics:
         assert counts.total.sum() == 2 * 2  # 2 kept pixels x 2 classes
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="range"):
-            confusion_from_masks(np.array([[5]]), np.array([[0]]), 2)
+        # typed like the ground-truth case, so the CLI maps it to exit 2
+        for bad in (5, -1):
+            with pytest.raises(ContractError, match="predicted class out of range"):
+                confusion_from_masks(np.array([[bad]]), np.array([[0]]), 2)
 
     def test_out_of_range_ground_truth_is_contract_error(self):
         # a mask file with a class the net does not have is bad input (exit 2)
