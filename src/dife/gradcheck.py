@@ -72,11 +72,6 @@ def suite_tensor(seeds=range(20)):
         record("sum_all", check_op(T.sum_all, [a]))
         record("pixel_entropy_map", check_op(T.pixel_entropy_map, [a]))
         record("upsample_bilinear2x", check_op(T.upsample_bilinear2x, [a]))
-        record("to_matrix", check_op(T.to_matrix, [a]))
-        ma = _rand(rng, (2, 1, 3, 4))
-        mb = _rand(rng, (2, 1, 4, 2))
-        record("matmul", check_op(T.matmul, [ma, mb], wrt=seed % 2))
-        record("transpose_mat", check_op(T.transpose_mat, [ma]))
         x = _rand(rng, (2, 3, 4, 4))
         w = _rand(rng, (4, 3, 3, 3), -0.8, 0.8)
         bias = _rand(rng, (1, 4, 1, 1))

@@ -31,26 +31,32 @@ class DegenerateClusterError(ValueError):
     """Fewer distinct values than clusters; no meaningful separation exists."""
 
 
-def feature_covariance(f, center=True):
+def feature_covariance(f):
     """Per-sample channel covariance of f, shape (N, 1, C, C).
 
-    With center=True the per-channel spatial mean is removed first, so the
-    result is a true covariance rather than a raw Gram matrix.
+    Theta = F_c F_c^T / HW, with F_c the (C, HW) map less its per-channel
+    spatial mean.  One tape node; its backward is dF = (G + G^T) F_c / HW
+    (G the gradient of Theta).  The rows of F_c have zero mean, so dF has
+    no spatial mean to remove.
     """
     n, c, h, w = f.shape
     if h * w == 0:
         raise ContractError("feature_covariance: empty spatial extent")
-    if center:
-        f = T.sub(f, T.global_avg_pool(f))
-    m = T.to_matrix(f)
-    return T.scale(T.matmul(m, T.transpose_mat(m)), 1.0 / (h * w))
+    fc = (f.data - f.data.mean(axis=(2, 3), keepdims=True)).reshape(n, 1, c, h * w)
+    inv_hw = 1.0 / (h * w)
+    theta = Tensor((fc @ fc.swapaxes(2, 3)) * inv_hw)
+
+    def bwd(g):
+        return (((g + g.swapaxes(2, 3)) @ fc).reshape(n, c, h, w) * inv_hw,)
+
+    return T._maybe_record(theta, (f,), bwd)
 
 
 def covariance_variance(theta_x, theta_tx):
-    """(V, mu_theta) for a batch of covariance pairs, both (C, C) arrays.
+    """Elementwise variance V over a batch of covariance pairs, both (C, C) arrays.
 
-    Elementwise over the pair: mu is the pair mean, V averages the squared
-    deviations of both views, then everything is batch-averaged.
+    Per entry, V averages the squared deviations of both views from the pair
+    mean; the result is batch-averaged.
     """
     tx = np.asarray(theta_x, dtype=np.float64)
     ttx = np.asarray(theta_tx, dtype=np.float64)
@@ -61,7 +67,7 @@ def covariance_variance(theta_x, theta_tx):
         ttx = ttx[None]
     mu = 0.5 * (tx + ttx)
     v = 0.5 * ((tx - mu) ** 2 + (ttx - mu) ** 2)
-    return v.mean(axis=0), mu.mean(axis=0)
+    return v.mean(axis=0)
 
 
 def kmeans_1d(values, k, max_iter=None):
@@ -199,7 +205,6 @@ def update_warmup(stats, theta_x, theta_tx):
     ttx = theta_tx.data if isinstance(theta_tx, Tensor) else np.asarray(theta_tx)
     tx = tx.reshape(-1, stats.channels, stats.channels)
     ttx = ttx.reshape(-1, stats.channels, stats.channels)
-    v, _ = covariance_variance(tx, ttx)
-    stats.v_sum += v
+    stats.v_sum += covariance_variance(tx, ttx)
     stats.batches_seen += 1
     return stats

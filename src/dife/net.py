@@ -41,7 +41,6 @@ DC_MODES = ("full", "no_plus", "no_minus", "none")
 class NetConfig:
     stage_channels: tuple = (8, 16, 32)
     num_classes: int = 4
-    in_channels: int = 3
     snr_stages: frozenset = frozenset({2, 3})
     isw_stages: frozenset = frozenset({1, 2, 3})
     lambda1: float = 0.6
@@ -49,7 +48,6 @@ class NetConfig:
     attention_reduction: int = 4
     k: int = 2
     dc_mode: str = "full"
-    in_eps: float = S.IN_EPS
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
@@ -64,6 +62,10 @@ class NetConfig:
             )
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ContractError("lambda1 and lambda2 must be non-negative")
+        if self.attention_reduction < 1:
+            raise ContractError(f"attention_reduction must be >= 1, got {self.attention_reduction}")
+        if self.k < 2:
+            raise ContractError(f"k must be >= 2 ISW clusters, got {self.k}")
         if self.dc_mode not in DC_MODES:
             raise ContractError(f"dc_mode must be one of {DC_MODES}, got {self.dc_mode!r}")
         for s in self.snr_stages:
@@ -96,7 +98,7 @@ class SegNet:
         rng = np.random.default_rng(seed)
         chans = cfg.stage_channels
         self.stages = []
-        c_in = cfg.in_channels
+        c_in = 3  # RGB, the only image format the reader accepts
         for i, c in enumerate(chans, start=1):
             stage = {
                 "conv_a": _he_conv(rng, c, c_in, 3, f"enc{i}.conv_a"),
@@ -145,7 +147,7 @@ class SegNet:
                 w, b = stage["down"]
                 h = T.relu(T.conv2d(h, w.tensor, b.tensor, stride=2, pad=1))
             if use_blocks and i in cfg.snr_stages:
-                out = S.snr_forward(h, self.attention[i], cfg.in_eps)
+                out = S.snr_forward(h, self.attention[i])
                 if record is not None:
                     record[i] = out
                 h = out.f_plus

@@ -63,21 +63,24 @@ class SnrOutput:
 
 
 def instance_normalize(f, eps=IN_EPS):
-    """Standardize each (n, c) slice over its spatial positions."""
+    """Standardize each (n, c) slice over its spatial positions.
+
+    One tape node.  With y the output and inv_std = (var + eps)^(-1/2) the
+    backward is dx = inv_std * (g - mean(g) - y * mean(g * y)), means over
+    the slice (Ulyanov et al., arXiv:1607.08022).
+    """
     if eps < 0:
         raise T.ContractError(f"eps must be >= 0, got {eps}")
-    mean = T.global_avg_pool(f)
-    centered = T.sub(f, mean)
-    var = T.global_avg_pool(T.mul(centered, centered))
-    # inv_std as a primitive-composed path: x^(-1/2) via explicit op
-    inv_std = _rsqrt(T.add_scalar(var, eps))
-    return T.mul(centered, inv_std)
+    centered = f.data - f.data.mean(axis=(2, 3), keepdims=True)
+    var = (centered * centered).mean(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + float(eps))
+    y = centered * inv_std
 
+    def bwd(g):
+        gy = (g * y).mean(axis=(2, 3), keepdims=True)
+        return (inv_std * (g - g.mean(axis=(2, 3), keepdims=True) - y * gy),)
 
-def _rsqrt(x):
-    y = 1.0 / np.sqrt(x.data)
-    out = Tensor(y)
-    return T._maybe_record(out, (x,), lambda g: (g * (-0.5) * y / x.data,))
+    return T._maybe_record(Tensor(y), (f,), bwd)
 
 
 def channel_attention(r, att):
@@ -89,13 +92,10 @@ def channel_attention(r, att):
     return T.sigmoid(T.fully_connected(h, att.fc2_w.tensor, att.fc2_b.tensor))
 
 
-def restitution_split(f, f_norm, alpha):
-    """Split the residual f - f_norm into gated halves (r_plus, r_minus)."""
-    residual = T.sub(f, f_norm)
+def restitution_split(residual, alpha):
+    """Gate the residual f - f_norm into (r_plus, r_minus) = (alpha*r, r - alpha*r)."""
     r_plus = T.mul(residual, alpha)
-    one_minus = T.add_scalar(T.neg(alpha), 1.0)
-    r_minus = T.mul(residual, one_minus)
-    return r_plus, r_minus
+    return r_plus, T.sub(residual, r_plus)
 
 
 def dual_causality_terms(f_norm, f_plus, f_minus):
@@ -120,8 +120,9 @@ def dual_causality_terms(f_norm, f_plus, f_minus):
 def snr_forward(f, att, eps=IN_EPS):
     """Full SNR pass; downstream consumers use .f_plus."""
     f_norm = instance_normalize(f, eps)
-    alpha = channel_attention(T.sub(f, f_norm), att)
-    r_plus, r_minus = restitution_split(f, f_norm, alpha)
+    residual = T.sub(f, f_norm)
+    alpha = channel_attention(residual, att)
+    r_plus, r_minus = restitution_split(residual, alpha)
     f_plus = T.add(f_norm, r_plus)
     f_minus = T.add(f_norm, r_minus)
     return SnrOutput(f_norm=f_norm, f_plus=f_plus, f_minus=f_minus,

@@ -24,8 +24,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "add_scalar",
-    "neg",
     "relu",
     "sigmoid",
     "absolute",
@@ -38,9 +36,6 @@ __all__ = [
     "sum_all",
     "mean_all",
     "upsample_bilinear2x",
-    "to_matrix",
-    "matmul",
-    "transpose_mat",
     "cross_entropy",
     "finite_difference_gradient",
 ]
@@ -296,16 +291,6 @@ def scale(a, s):
     return _maybe_record(out, (a,), lambda g: (g * s,))
 
 
-def add_scalar(a, s):
-    s = float(s)
-    out = Tensor(a.data + s)
-    return _maybe_record(out, (a,), lambda g: (g,))
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
 def relu(a):
     out = Tensor(np.maximum(a.data, 0.0))
     pos = a.data > 0
@@ -514,30 +499,6 @@ def upsample_bilinear2x(x):
     awt = _bilinear_matrix(w).T
     out = Tensor(np.matmul(np.matmul(ah, x.data), awt))
     return _maybe_record(out, (x,), lambda g: (np.matmul(np.matmul(ah.T, g), awt.T),))
-
-
-def to_matrix(x):
-    """Reshape (N,C,H,W) to (N,1,C,H*W) for channel-Gram algebra."""
-    n, c, h, w = x.shape
-    out = Tensor(x.data.reshape(n, 1, c, h * w))
-    return _maybe_record(out, (x,), lambda g: (g.reshape(n, c, h, w),))
-
-
-def matmul(a, b):
-    """Batched matrix multiply over the leading two axes: (..., i, j) @ (..., j, k)."""
-    if a.shape[:2] != b.shape[:2] or a.shape[3] != b.shape[2]:
-        raise ShapeError(f"matmul: incompatible {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
-    return _maybe_record(
-        out, (a, b),
-        lambda g: (g @ bd.swapaxes(2, 3), ad.swapaxes(2, 3) @ g),
-    )
-
-
-def transpose_mat(x):
-    out = Tensor(x.data.swapaxes(2, 3))
-    return _maybe_record(out, (x,), lambda g: (g.swapaxes(2, 3),))
 
 
 def cross_entropy(logits, target, ignore_index=-1):

@@ -48,6 +48,9 @@ class TrainConfig:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.poly_power <= 0:
             raise ContractError(f"poly_power must be positive, got {self.poly_power}")
+        for name in ("epochs", "batch_size", "warmup_epochs"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def poly_lr(step, total_steps, cfg):

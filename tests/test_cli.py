@@ -163,6 +163,17 @@ class TestTrainEvalCommands:
         assert main(["train", "--config", str(config_file),
                      "--set", "net.bogus=1"]) == C.EXIT_CONFIG
 
+    @pytest.mark.parametrize("override,named", [
+        ("train.batch_size=0", "batch_size"), ("train.epochs=0", "epochs"),
+        ("train.warmup_epochs=0", "warmup_epochs"),
+        ("net.attention_reduction=0", "attention_reduction"), ("net.k=1", "k must be"),
+    ])
+    def test_out_of_range_training_value_is_config_error(self, config_file, tmp_path,
+                                                         capsys, override, named):
+        assert main(["train", "--config", str(config_file), "--set", override]) == C.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.dife").exists()
+
     def test_nonfinite_loss_is_numeric_error(self, config_file):
         # an absurd learning rate reliably blows the loss up
         with np.errstate(all="ignore"):

@@ -8,6 +8,8 @@ from dife import isw as W
 from dife import tensor as T
 from dife.tensor import Tape, Tensor, ContractError
 
+from conftest import tape_forward_backward
+
 
 class TestFeatureCovariance:
     def test_zeros(self):
@@ -15,15 +17,15 @@ class TestFeatureCovariance:
         assert np.all(theta.data == 0.0)
 
     def test_outer_product_single_pixel(self):
-        # raw Gram form: column (1,2)^T over a single spatial position
-        f = Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-        theta = W.feature_covariance(f, center=False)
+        # one centred column (1,2)^T and its negative: the outer product of the column
+        f = Tensor(np.array([[1.0, -1.0], [2.0, -2.0]]).reshape(1, 2, 1, 2))
+        theta = W.feature_covariance(f)
         assert np.allclose(theta.data[0, 0], [[1.0, 2.0], [2.0, 4.0]])
 
     def test_orthogonal_rows(self):
-        f = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(1, 2, 1, 2))
-        theta = W.feature_covariance(f, center=False).data[0, 0]
-        assert np.allclose(theta, np.eye(2) / 2.0)  # divisor h*w = 2
+        f = Tensor(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]).reshape(1, 2, 1, 4))
+        theta = W.feature_covariance(f).data[0, 0]
+        assert np.allclose(theta, np.eye(2) / 2.0)  # row norms 2, divisor h*w = 4
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(4)
@@ -44,23 +46,55 @@ class TestFeatureCovariance:
         assert np.abs(a - b).max() < 1e-9
 
 
+def composed_feature_covariance(f):
+    """The six-node composition feature_covariance replaced: the reference
+    for its forward (same expressions, so bit for bit) and its backward."""
+    def to_matrix(x):
+        n, c, h, w = x.shape
+        return T._maybe_record(Tensor(x.data.reshape(n, 1, c, h * w)), (x,),
+                               lambda g: (g.reshape(n, c, h, w),))
+
+    def matmul(a, b):
+        ad, bd = a.data, b.data
+        return T._maybe_record(Tensor(ad @ bd), (a, b),
+                               lambda g: (g @ bd.swapaxes(2, 3), ad.swapaxes(2, 3) @ g))
+
+    def transpose_mat(x):
+        return T._maybe_record(Tensor(x.data.swapaxes(2, 3)), (x,), lambda g: (g.swapaxes(2, 3),))
+
+    n, c, h, w = f.shape
+    m = to_matrix(T.sub(f, T.global_avg_pool(f)))
+    return T.scale(matmul(m, transpose_mat(m)), 1.0 / (h * w))
+
+
+class TestFusedCovariance:
+    @pytest.mark.parametrize("shape", [(2, 4, 3, 3), (4, 8, 48, 48), (4, 32, 12, 12), (1, 3, 1, 1)])
+    def test_matches_composed_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(1.0, 2.0, shape)
+        g = rng.normal(size=(shape[0], 1, shape[1], shape[1]))
+        y, dx, nodes = tape_forward_backward(W.feature_covariance, x, g)
+        ref_y, ref_dx, ref_nodes = tape_forward_backward(composed_feature_covariance, x, g)
+        assert np.array_equal(y, ref_y)
+        assert np.abs(dx - ref_dx).max() <= 1e-12 * max(np.abs(ref_dx).max(), 1e-300)
+        assert (nodes, ref_nodes) == (1, 6)
+
+
 class TestCovarianceVariance:
     def test_identical_pair_zero(self):
         theta = np.random.default_rng(0).normal(size=(3, 3))
-        v, mu = W.covariance_variance(theta, theta)
+        v = W.covariance_variance(theta, theta)
         assert np.all(v == 0.0)
-        assert np.allclose(mu, theta)
 
     def test_single_entry_arithmetic(self):
-        v, mu = W.covariance_variance(np.array([[1.0]]), np.array([[3.0]]))
-        assert mu[0, 0] == pytest.approx(2.0)
+        v = W.covariance_variance(np.array([[1.0]]), np.array([[3.0]]))
         assert v[0, 0] == pytest.approx(1.0)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(2, 4, 4))
-        v1, _ = W.covariance_variance(a, b)
-        v2, _ = W.covariance_variance(3.0 * a, 3.0 * b)
+        v1 = W.covariance_variance(a, b)
+        v2 = W.covariance_variance(3.0 * a, 3.0 * b)
         assert np.allclose(v2, 9.0 * v1)
 
     def test_batch_average(self):
@@ -68,7 +102,7 @@ class TestCovarianceVariance:
         b = np.zeros((2, 1, 1))
         a[0], b[0] = 1.0, 3.0   # v = 1
         a[1], b[1] = 0.0, 0.0   # v = 0
-        v, _ = W.covariance_variance(a, b)
+        v = W.covariance_variance(a, b)
         assert v[0, 0] == pytest.approx(0.5)
 
 
@@ -327,7 +361,7 @@ class TestWarmup:
         ttx = tx + 1.0
         for _ in range(4):
             W.update_warmup(stats, tx.reshape(2, 1, 3, 3), ttx.reshape(2, 1, 3, 3))
-        v_single, _ = W.covariance_variance(tx, ttx)
+        v_single = W.covariance_variance(tx, ttx)
         assert np.allclose(stats.v, v_single)
 
     def test_running_mean_of_two_batches(self):
@@ -336,8 +370,8 @@ class TestWarmup:
         a2, b2 = np.array([[[0.0, 2], [2, 0]]]), np.array([[[0.0, 0], [0, 0]]])
         W.update_warmup(stats, a1, b1)
         W.update_warmup(stats, a2, b2)
-        v1, _ = W.covariance_variance(a1, b1)
-        v2, _ = W.covariance_variance(a2, b2)
+        v1 = W.covariance_variance(a1, b1)
+        v2 = W.covariance_variance(a2, b2)
         assert np.allclose(stats.v, (v1 + v2) / 2.0)
 
     def test_freeze_matches_offline_mask(self):
@@ -350,7 +384,7 @@ class TestWarmup:
             a = (a + a.swapaxes(1, 2)) / 2
             b = (b + b.swapaxes(1, 2)) / 2
             W.update_warmup(stats, a, b)
-            logged.append(W.covariance_variance(a, b)[0])
+            logged.append(W.covariance_variance(a, b))
         mask = stats.freeze()
         offline = W.build_mask(np.mean(logged, axis=0), 2)
         assert np.array_equal(mask, offline)

@@ -58,7 +58,7 @@ class TestForward:
         rec = forward_pair(Tensor(x), Tensor(x), net)
         assert rec.cov_pairs
         for theta_x, theta_tx in rec.cov_pairs.values():
-            v, _ = W.covariance_variance(theta_x.data, theta_tx.data)
+            v = W.covariance_variance(theta_x.data, theta_tx.data)
             assert np.abs(v).max() == 0.0
 
     @pytest.mark.parametrize("h,w", [(34, 32), (32, 30), (10, 10)])

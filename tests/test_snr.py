@@ -5,6 +5,8 @@ from dife import snr as S
 from dife import tensor as T
 from dife.tensor import Tape, Tensor
 
+from conftest import tape_forward_backward
+
 
 def feat(arr):
     a = np.asarray(arr, dtype=np.float64)
@@ -57,6 +59,43 @@ class TestInstanceNormalize:
         assert np.abs(base - styled).max() < 1e-6
 
 
+def composed_instance_normalize(f, eps):
+    """The seven-node composition instance_normalize replaced: the reference
+    for its forward (same expressions, so bit for bit) and its backward."""
+    def add_scalar(a, s):
+        s = float(s)
+        return T._maybe_record(Tensor(a.data + s), (a,), lambda g: (g,))
+
+    def rsqrt(x):
+        y = 1.0 / np.sqrt(x.data)
+        return T._maybe_record(Tensor(y), (x,), lambda g: (g * (-0.5) * y / x.data,))
+
+    mean = T.global_avg_pool(f)
+    centered = T.sub(f, mean)
+    var = T.global_avg_pool(T.mul(centered, centered))
+    return T.mul(centered, rsqrt(add_scalar(var, eps)))
+
+
+class TestFusedInstanceNormalize:
+    @pytest.mark.parametrize("shape", [(2, 4, 3, 3), (4, 16, 24, 24), (4, 32, 12, 12), (1, 3, 1, 5)])
+    @pytest.mark.parametrize("eps", [S.IN_EPS, 0.0, 0.5])
+    def test_matches_composed_reference(self, shape, eps):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(1.0, 2.0, shape)
+        g = rng.normal(size=shape)
+        y, dx, nodes = tape_forward_backward(lambda f: S.instance_normalize(f, eps), x, g)
+        ref_y, ref_dx, ref_nodes = tape_forward_backward(
+            lambda f: composed_instance_normalize(f, eps), x, g)
+        assert np.array_equal(y, ref_y)
+        assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+        assert (nodes, ref_nodes) == (1, 7)
+
+    def test_untracked_input_records_nothing(self):
+        with Tape() as tape:
+            S.instance_normalize(Tensor(np.ones((1, 2, 2, 2))))
+            assert tape.nodes == []
+
+
 class TestChannelAttention:
     def test_zero_weights_give_half(self):
         att = S.ChannelAttention(4, 2)
@@ -100,7 +139,7 @@ class TestRestitutionSplit:
         f = Tensor(rng.normal(size=(1, 2, 3, 3)))
         f_norm = S.instance_normalize(f)
         alpha = Tensor(np.full((1, 2, 1, 1), alpha_value))
-        return f, f_norm, S.restitution_split(f, f_norm, alpha)
+        return f, f_norm, S.restitution_split(T.sub(f, f_norm), alpha)
 
     def test_alpha_one(self):
         f, f_norm, (rp, rm) = self._parts(1.0)
@@ -116,7 +155,7 @@ class TestRestitutionSplit:
         f = feat(np.full((1, 1, 1, 1), 4.0))
         f_norm = feat(np.zeros((1, 1, 1, 1)))
         alpha = feat(np.full((1, 1, 1, 1), 0.25))
-        rp, rm = S.restitution_split(f, f_norm, alpha)
+        rp, rm = S.restitution_split(T.sub(f, f_norm), alpha)
         assert rp.item() == pytest.approx(1.0)
         assert rm.item() == pytest.approx(3.0)
 
