@@ -53,11 +53,14 @@ class NetConfig:
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
         self.snr_stages = frozenset(int(s) for s in self.snr_stages)
         self.isw_stages = frozenset(int(s) for s in self.isw_stages)
-        n = len(self.stage_channels)
-        valid = set(range(1, n + 1))
+        if len(self.stage_channels) != 3 or min(self.stage_channels) < 1:
+            raise ContractError(
+                f"stage_channels must be three positive widths, got {list(self.stage_channels)}"
+            )
+        valid = {1, 2, 3}
         if not self.snr_stages <= valid or not self.isw_stages <= valid:
             raise ContractError(
-                f"block stages must lie in 1..{n}: snr={sorted(self.snr_stages)} "
+                f"block stages must lie in 1..3: snr={sorted(self.snr_stages)} "
                 f"isw={sorted(self.isw_stages)}"
             )
         if self.lambda1 < 0 or self.lambda2 < 0:

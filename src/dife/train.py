@@ -51,6 +51,16 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "warmup_epochs"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.early_stop_patience < 0:
+            raise ContractError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
+        twin = self.twin
+        gamma_min, gamma_max = twin.gamma_range
+        if not 0 < gamma_min <= gamma_max:
+            raise ContractError(f"twin gamma_min {gamma_min} must lie in (0, gamma_max {gamma_max}]")
+        for key, value in (("brightness", twin.brightness_jitter), ("contrast", twin.contrast_jitter),
+                           ("hue", twin.hue_rotation), ("blur_sigma", twin.gaussian_blur_sigma)):
+            if value < 0:
+                raise ContractError(f"twin {key} must be >= 0, got {value}")
 
 
 def poly_lr(step, total_steps, cfg):

@@ -167,6 +167,11 @@ class TestTrainEvalCommands:
         ("train.batch_size=0", "batch_size"), ("train.epochs=0", "epochs"),
         ("train.warmup_epochs=0", "warmup_epochs"),
         ("net.attention_reduction=0", "attention_reduction"), ("net.k=1", "k must be"),
+        ("net.stage_channels=[8,0,8]", "stage_channels"),
+        ("net.stage_channels=[8,16]", "stage_channels"),
+        ("twin.gamma_min=3.0", "gamma_min"), ("twin.gamma_min=0", "gamma_min"),
+        ("twin.blur_sigma=-1", "blur_sigma"), ("twin.brightness=-0.1", "brightness"),
+        ("train.early_stop_patience=-1", "early_stop_patience"),
     ])
     def test_out_of_range_training_value_is_config_error(self, config_file, tmp_path,
                                                          capsys, override, named):

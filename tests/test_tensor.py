@@ -156,6 +156,9 @@ class TestConvBackward:
         for got, ref in ((y, ref_y), (dx, ref_dx), (dw, ref_dw)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(db, ref_db)
+        if wshape[2:] == (1, 1) and stride == 1 and pad == 0:
+            # the head conv's input is its own lowering: no copy
+            assert np.shares_memory(T._lower(x, 1, 1, 1, 0)[0], x)
 
     def test_untracked_input_gets_no_dx_work(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -236,6 +239,44 @@ class TestBackward:
             assert first() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("where", ["reached", "unreached", "after_root"])
+    def test_backward_frees_saved_state(self, where):
+        # the probe op's closure is the only holder of `held`
+        class Held:
+            pass
+
+        def probe(t, held):
+            return T._maybe_record(Tensor(t.data.copy()), (t,), lambda g, _held=held: (g,))
+
+        x = T.ones((1, 1, 1, 2), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                held = Held()
+                ref = weakref.ref(held)
+                if where == "after_root":
+                    root = T.sum_all(x)
+                    probe(x, held)
+                else:
+                    y = probe(x, held)
+                    root = T.sum_all(y if where == "reached" else x)
+                del held
+                assert ref() is not None
+                tape.backward(root)
+                assert ref() is None
+                assert np.array_equal(tape.grad(x), np.ones((1, 1, 1, 2)))
+        finally:
+            gc.enable()
+
+    def test_second_backward_rejected(self):
+        x = T.ones((1, 1, 1, 2), requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_all(T.mul(x, x))
+            tape.backward(y)
+            with pytest.raises(ContractError, match="already ran"):
+                tape.backward(y)
+            assert np.array_equal(tape.grad(x), 2.0 * x.data)
 
     def test_fan_in_accumulation_leaves_stored_gradients_alone(self):
         # add(h, h) hands the same array to both parents; an in-place
