@@ -216,6 +216,7 @@ def _read_netpbm_header(blob, magic, path):
         raise FormatError(f"{path}: bad magic {blob[:2]!r} at byte 0")
     off = 2
     fields = []
+    starts = []
     while len(fields) < 3:
         while off < len(blob) and blob[off : off + 1].isspace():
             off += 1
@@ -232,11 +233,28 @@ def _read_netpbm_header(blob, magic, path):
             fields.append(int(blob[start:off]))
         except ValueError:
             raise FormatError(f"{path}: non-numeric header field at byte {start}") from None
+        starts.append(start)
     off += 1  # single whitespace after maxval
     w, h, maxval = fields
+    for name, value, start in (("width", w, starts[0]), ("height", h, starts[1])):
+        if value < 1:
+            raise FormatError(f"{path}: {name} {value} < 1 at byte {start}")
     if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval}")
+        raise FormatError(f"{path}: unsupported maxval {maxval} at byte {starts[2]}")
     return w, h, off
+
+
+def _read_netpbm(path, magic, channels):
+    """(H, W, channels) uint8 payload of a binary netpbm file of exact length."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    w, h, off = _read_netpbm_header(blob, magic, path)
+    end = off + w * h * channels
+    if len(blob) < end:
+        raise FormatError(f"{path}: payload truncated at byte {len(blob)} (need {end})")
+    if len(blob) > end:
+        raise FormatError(f"{path}: {len(blob) - end} bytes past the payload at byte {end}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=off).reshape(h, w, channels)
 
 
 def write_ppm(path, image):
@@ -249,13 +267,7 @@ def write_ppm(path, image):
 
 
 def read_ppm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, off = _read_netpbm_header(blob, b"P6", path)
-    need = w * h * 3
-    if len(blob) - off < need:
-        raise FormatError(f"{path}: payload truncated at byte {len(blob)} (need {off + need})")
-    arr = np.frombuffer(blob[off : off + need], dtype=np.uint8).reshape(h, w, 3)
+    arr = _read_netpbm(path, b"P6", 3)
     return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -268,13 +280,7 @@ def write_pgm(path, mask):
 
 
 def read_pgm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, off = _read_netpbm_header(blob, b"P5", path)
-    need = w * h
-    if len(blob) - off < need:
-        raise FormatError(f"{path}: payload truncated at byte {len(blob)} (need {off + need})")
-    return np.frombuffer(blob[off : off + need], dtype=np.uint8).reshape(h, w).astype(np.int64)
+    return _read_netpbm(path, b"P5", 1)[:, :, 0].astype(np.int64)
 
 
 def write_sample(img_path, msk_path, sample):

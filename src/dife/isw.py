@@ -92,22 +92,23 @@ def kmeans_1d(values, k, max_iter=None):
     n = vals.size
     order = np.argsort(vals, kind="stable")
     s = vals[order]
-    # cost[i, j] = SSE of s[i:j+1] from prefix sums; runs with i > j cost inf
+    # cost_t[j, i] = SSE of the run s[i:j+1] from prefix sums, stored
+    # transposed so each end j is a contiguous row; runs with i > j cost inf
     ps = np.concatenate(([0.0], np.cumsum(s)))
     ps2 = np.concatenate(([0.0], np.cumsum(s * s)))
     idx = np.arange(n)
-    cnt = np.maximum(idx[None, :] - idx[:, None] + 1, 1)
-    tot = ps[None, 1:] - ps[:-1, None]
-    cost = (ps2[None, 1:] - ps2[:-1, None]) - tot * tot / cnt
-    cost[idx[:, None] > idx[None, :]] = np.inf
+    cnt = np.maximum(idx[:, None] - idx[None, :] + 1, 1)
+    tot = ps[1:, None] - ps[None, :-1]
+    cost_t = (ps2[1:, None] - ps2[None, :-1]) - tot * tot / cnt
+    cost_t[idx[None, :] > idx[:, None]] = np.inf
     dp = np.full((k, n), np.inf)
     split = np.zeros((k, n), dtype=np.int64)
-    dp[0] = cost[0]
+    dp[0] = cost_t[:, 0]
     for m in range(1, k):
-        # row r of cand is the last run starting at i = m + r; argmin keeps the first minimum
-        cand = dp[m - 1, m - 1 : n - 1, None] + cost[m:, m:]
-        best = np.argmin(cand, axis=0)
-        dp[m, m:] = cand[best, np.arange(n - m)]
+        # column r of cand is the last run starting at i = m + r; argmin keeps the first minimum
+        cand = cost_t[m:, m:] + dp[m - 1, None, m - 1 : n - 1]
+        best = np.argmin(cand, axis=1)
+        dp[m, m:] = cand[idx[: n - m], best]
         split[m, m:] = m + best
     # walk the split table back to recover run boundaries
     bounds = np.empty(k + 1, dtype=np.int64)

@@ -128,12 +128,21 @@ class Tape:
 
     Use as a context manager; ops executed inside record nodes for any
     result that depends on a requires_grad tensor, and backward() runs
-    inside the block, once; grad() still answers afterwards.  backward()
-    drops each node's closure as it passes, so an op's saved forward state
-    is freed as soon as its gradients exist and the record keeps only
-    gradients.  The active tape is a module global, so at most one tape is
-    active per process, and a closed tape's record is dropped when the next
-    tape closes.
+    inside the block, once.  backward() drops each node's closure as it
+    passes, so an op's saved forward state is freed as soon as its
+    gradients exist and the record keeps only gradients.  The active tape
+    is a module global, so at most one tape is active per process.  A
+    closed tape still answers grad() until the next tape opens, which drops
+    its record and gradients; the last tape of a run is held until then.
+
+    The drop waits for the next tape because memory freed at a step's end
+    lets glibc trim the heap top, and the next allocations fault the pages
+    back in.  On the 48x48 benchmark, dropping each record at its own
+    __exit__ cut train-plain eval_images_per_s by 17 %, and freeing each tape
+    as soon as nothing held it raised setup_s by 25 %.  Even this drop, with
+    a zero-padded frame in _lower, made each train-plain `dife eval` take
+    about 49k minor faults (337 img/s); without the frame it takes about
+    2.3k (419 img/s), and before this drop took 1-22k (369 img/s).
     """
 
     def __init__(self):
@@ -141,23 +150,23 @@ class Tape:
         self.grads = None
 
     def __enter__(self):
-        global _ACTIVE_TAPE
+        global _ACTIVE_TAPE, _CLOSED_TAPE
         if _ACTIVE_TAPE is not None:
             raise ContractError("a tape is already active in this process")
+        # Drop the previous step's record and gradients now, not when this
+        # tape closes: they would otherwise stay live through this whole step
+        # (14.6 MiB on a full-method step), since the trainer's locals still
+        # reach the tape.  Clearing both breaks the reference cycle of a tape
+        # that never ran backward (closures hold tensors whose _tape it is).
+        if _CLOSED_TAPE is not None:
+            _CLOSED_TAPE.nodes = _CLOSED_TAPE.grads = None
+            _CLOSED_TAPE = None
         _ACTIVE_TAPE = self
         return self
 
     def __exit__(self, *exc):
         global _ACTIVE_TAPE, _CLOSED_TAPE
         _ACTIVE_TAPE = None
-        # Until backward() runs, a record is a reference cycle (closures hold
-        # tensors whose _tape is this tape).  Drop the previous closed record,
-        # not this one, though after backward() it holds only gradients:
-        # freeing a whole step's gradients at its end returns their pages to
-        # the OS, and dropping this record here cut eval_images_per_s on the
-        # 48x48 train-plain benchmark by 17 %.
-        if _CLOSED_TAPE is not None:
-            _CLOSED_TAPE.nodes = []
         _CLOSED_TAPE = self
         return False
 
@@ -215,6 +224,8 @@ class Tape:
 
     def grad(self, t):
         """Gradient buffer for t after backward(); zeros if unreachable."""
+        if self.nodes is None:
+            raise ContractError("this tape's record was dropped when the next tape opened")
         if self.grads is None:
             raise ContractError("backward() has not run on this tape")
         if t._tape is self and t._nid is not None and self.grads[t._nid] is not None:
@@ -336,7 +347,9 @@ def _lower(xd, kh, kw, stride, pad):
     Returns low of shape (N, C*kw, s, R, Wo), s = stride, R = ceil(Hp/s), with
     low[n, c*kw + j, ph, r, q] = padded x[n, c, s*r + ph, s*q + j], and the
     output size (Ho, Wo).  Kernel row i reads the rows of _tap(low, i, s, Ho):
-    one copy of about kw times the input serves all kh rows.
+    one copy of about kw times the input serves all kh rows.  Each (phase,
+    kernel column) slab is one strided copy straight from the input; only
+    its rows and columns that fall in the padding, or past Hp, are zeroed.
     """
     n, c, h, w = xd.shape
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -347,13 +360,23 @@ def _lower(xd, kh, kw, stride, pad):
     if kh == kw == stride == 1 and pad == 0:
         return xd.reshape(n, c, 1, h, w), (ho, wo)     # 1x1: the input is its own lowering
     r = -(-hp // stride)
-    # Frame rows past Hp (up to s*R) are zero and never read by a tap.
-    xp = np.zeros((n, c, stride * r, wp))
-    xp[:, :, pad : pad + h, pad : pad + w] = xd
     low = np.empty((n, c, kw, stride, r, wo))
-    for j in range(kw):
-        cols = xp[:, :, :, j : j + stride * (wo - 1) + 1 : stride]
-        low[:, :, j] = cols.reshape(n, c, r, stride, wo).transpose(0, 1, 3, 2, 4)
+    for ph in range(stride):
+        # lowered rows [r0, r1) read input rows s*r + ph - pad in [0, h)
+        r0 = min(r, -(-max(pad - ph, 0) // stride))
+        r1 = max(r0, min(r, (h - 1 + pad - ph) // stride + 1))
+        for j in range(kw):
+            q0 = min(wo, -(-max(pad - j, 0) // stride))
+            q1 = max(q0, min(wo, (w - 1 + pad - j) // stride + 1))
+            slab = low[:, :, j, ph]
+            slab[:, :, :r0] = 0.0
+            slab[:, :, r1:] = 0.0
+            slab[:, :, r0:r1, :q0] = 0.0
+            slab[:, :, r0:r1, q1:] = 0.0
+            if r1 > r0 and q1 > q0:
+                y0, x0 = stride * r0 + ph - pad, stride * q0 + j - pad
+                slab[:, :, r0:r1, q0:q1] = xd[:, :, y0 : y0 + stride * (r1 - r0 - 1) + 1 : stride,
+                                              x0 : x0 + stride * (q1 - q0 - 1) + 1 : stride]
     return low.reshape(n, c * kw, stride, r, wo), (ho, wo)
 
 

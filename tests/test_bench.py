@@ -1,0 +1,23 @@
+"""Smoke run of the benchmark harness, whose trace hooks reach into the library."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_train_full_run_is_correct():
+    # --trace 1 patches Tape.backward (and reads tape.grads), isw.kmeans_1d
+    # (called with three positional arguments) and net.lambda1/lambda2;
+    # seed 0 is pinned in bench/reference.json, so the outputs are checked too
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "train-full", "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]
+    assert result["failed"] == 0

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestTrainEvalCommands:
                      "--out", str(tmp_path / "e")]) == C.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "truncated" in err and str(ck) in err
+
+    def test_bad_image_size_is_config_error(self, config_file, tmp_path, dataset, capsys):
+        # a negative size is a FormatError (exit 2), not a ValueError from reshape
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        img = root / "source" / "train" / "img_00000.ppm"
+        header = b"P6\n32 32\n255\n"
+        blob = img.read_bytes()
+        assert blob.startswith(header)
+        img.write_bytes(b"P6\n-4 -4\n255\n" + blob[len(header):])
+        assert main(["train", "--config", str(config_file),
+                     "--set", f"data.root={root}"]) == C.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(img) in err and "width -4 < 1 at byte 3" in err
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == C.EXIT_CONFIG

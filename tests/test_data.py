@@ -202,6 +202,38 @@ class TestNetpbm:
         with pytest.raises(FormatError, match="maxval"):
             D.read_ppm(p)
 
+    def _bad_p6(self, tmp_path, header, payload, match):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(b"P6\n" + header + b"\n255\n" + payload)
+        with pytest.raises(FormatError, match=match) as err:
+            D.read_ppm(p)
+        assert str(p) in str(err.value)
+
+    def test_negative_width_rejected(self, tmp_path):
+        # a (3, 5, 3) image can be sliced from these 48 bytes: only the size check fails
+        self._bad_p6(tmp_path, b"-1 5", b"\x00" * 48, r"width -1 < 1 at byte 3")
+
+    def test_negative_width_and_height_rejected(self, tmp_path):
+        self._bad_p6(tmp_path, b"-4 -4", b"\x00" * 48, r"width -4 < 1 at byte 3")
+
+    def test_zero_size_rejected(self, tmp_path):
+        self._bad_p6(tmp_path, b"0 0", b"", r"width 0 < 1 at byte 3")
+        self._bad_p6(tmp_path, b"2 0", b"", r"height 0 < 1 at byte 5")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a 2x2 P6 is an 11-byte header and 12 payload bytes
+        self._bad_p6(tmp_path, b"2 2", b"\x00" * 13, r"1 bytes past the payload at byte 23")
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5\n2 1\n255\n\x03\x01\n")
+        with pytest.raises(FormatError, match="past the payload at byte 13"):
+            D.read_pgm(p)
+
+    def test_benchmark_size_is_exact(self, tmp_path):
+        p = tmp_path / "i.ppm"
+        D.write_ppm(p, generate_sample(0, 0, "source", (48, 48)).image)
+        assert p.stat().st_size == 13 + 48 * 48 * 3
+        assert D.read_ppm(p).shape == (3, 48, 48)
+
 
 class TestDatasetLayout:
     def test_write_and_load_round_trip(self, tmp_path):

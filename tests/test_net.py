@@ -231,11 +231,12 @@ class TestSgdDescent:
 
 
 class TestStepMemory:
-    # Traced peak over two full-method steps at the acceptance size: 40.23 MiB
-    # when backward frees each op's saved state, 78.58 MiB when the closed
-    # record kept every closure until the next tape closed.  numpy reports its
-    # buffers to tracemalloc, so the figure repeats to within bytes.
-    BOUND_MIB = 44.0
+    # Traced peak over two full-method steps at the acceptance size: 25.43 MiB
+    # when opening a tape drops the previous step's gradients, 40.23 MiB when
+    # they lived until the next tape closed, 78.58 MiB when the closed record
+    # also kept every closure.  numpy reports its buffers to tracemalloc, so
+    # the figure repeats to within bytes.
+    BOUND_MIB = 30.0
 
     def test_two_full_steps_stay_under_traced_peak(self):
         from dife.train import sgd_step

@@ -139,6 +139,42 @@ ODD_CONVS += [((2, 3, 7, 9), (4, 3, 3, 1), 1, 0), ((2, 3, 7, 9), (4, 3, 1, 3), 1
               ((2, 3, 7, 9), (4, 3, 2, 3), 2, 1)]
 
 
+def framed_lower(xd, kh, kw, stride, pad):
+    """Width-only lowering through a zero-padded frame: the reference for _lower."""
+    n, c, h, w = xd.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    r = -(-hp // stride)
+    xp = np.zeros((n, c, stride * r, wp))
+    xp[:, :, pad : pad + h, pad : pad + w] = xd
+    low = np.empty((n, c, kw, stride, r, wo))
+    for j in range(kw):
+        cols = xp[:, :, :, j : j + stride * (wo - 1) + 1 : stride]
+        low[:, :, j] = cols.reshape(n, c, r, stride, wo).transpose(0, 1, 3, 2, 4)
+    return low.reshape(n, c * kw, stride, r, wo), (ho, wo)
+
+
+class TestLower:
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", NET_CONVS + ODD_CONVS)
+    def test_matches_framed_reference(self, xshape, wshape, stride, pad, monkeypatch):
+        # fresh buffers are NaN, so a padding cell left unwritten cannot read as 0
+        real_empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            arr = real_empty(*args, **kwargs)
+            arr.fill(np.nan)
+            return arr
+
+        x = np.random.default_rng(sum(xshape) + pad).normal(size=xshape)
+        kh, kw = wshape[2:]
+        ref = framed_lower(x, kh, kw, stride, pad)
+        monkeypatch.setattr(T.np, "empty", poisoned)
+        low, size = T._lower(x, kh, kw, stride, pad)
+        assert size == ref[1]
+        assert np.array_equal(low, ref[0])
+
+
 class TestConvBackward:
     @pytest.mark.parametrize("xshape,wshape,stride,pad", NET_CONVS + ODD_CONVS)
     def test_matches_col2im_reference(self, xshape, wshape, stride, pad):
@@ -237,6 +273,24 @@ class TestBackward:
             first = step()
             step()   # closes on step 1's record and re-tracks p
             assert first() is None
+        finally:
+            gc.enable()
+
+    def test_next_tape_drops_gradients(self):
+        x = Tensor(np.array([1.0, -2.0]).reshape(1, 1, 1, 2), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape1:
+                h = T.scale(x, 3.0)
+                tape1.backward(T.sum_all(T.mul(h, h)))
+            # grad() still answers after the with-block
+            assert np.array_equal(tape1.grad(x), 18.0 * x.data)
+            interior = weakref.ref(tape1.grad(h))
+            assert interior() is not None
+            with Tape():
+                assert interior() is None
+                with pytest.raises(ContractError, match="record was dropped"):
+                    tape1.grad(x)
         finally:
             gc.enable()
 
