@@ -36,7 +36,6 @@ PLACEMENT_ROWS = [
 ]
 
 K_SWEEP = [2, 3, 5, 7, 10, 20]
-DC_SWEEP = ["full", "no_plus", "no_minus", "none"]
 LAMBDA_SWEEP = [(0.0, 0.0), (0.6, 0.0), (0.0, 1.0), (0.3, 1.0), (0.6, 1.0), (1.0, 1.0)]
 
 
@@ -88,7 +87,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg, out_dir = _prepare_run(args)
     ncfg = cfg.net_config()
-    net = N.SegNet(ncfg, seed=cfg["train.seed"])
+    net = N.SegNet(ncfg, seed=cfg.train_config().seed)
     N.load_checkpoint(args.checkpoint, net)
     samples = D.load_dataset(args.data, args.domain, args.split)
     if not samples:
@@ -120,12 +119,12 @@ def run_cell(payload):
     return {"val_miou": best["miou"], "target_miou": target_rep.miou}
 
 
-def _ablation_cells(axis, cfg):
+def _ablation_cells(axis):
     if axis == "k":
         return [(f"k={k}", [f"net.k={k}"]) for k in K_SWEEP]
     if axis == "dcloss":
         return [(f"dc={mode}", [f"net.dc_mode={mode}"] + (["net.lambda2=0"] if mode == "none" else []))
-                for mode in DC_SWEEP]
+                for mode in N.DC_MODES]
     if axis == "lambda":
         return [(f"l1={l1},l2={l2}", [f"net.lambda1={l1}", f"net.lambda2={l2}"])
                 for l1, l2 in LAMBDA_SWEEP]
@@ -141,7 +140,7 @@ def _ablation_cells(axis, cfg):
 
 def cmd_ablate(args):
     cfg, out_dir = _prepare_run(args)
-    cells = _ablation_cells(args.axis, cfg)
+    cells = _ablation_cells(args.axis)
     base_overrides = list(args.set or [])
     payloads = [(args.config, base_overrides + overrides, cfg["data.root"])
                 for _, overrides in cells]

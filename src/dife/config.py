@@ -1,10 +1,15 @@
 """Flat run-configuration files: `section.key = value`, `#` comments.
 
-Arrays are written `[a,b,c]`.  Every key is validated against the schema;
-unknown keys are rejected so ablation sweeps cannot silently typo a knob.
+Arrays are written `[a,b,c]`.  The keys are the fields of the config
+objects (`net.*` NetConfig, `train.*` TrainConfig, `twin.*`
+PhotometricTransform) plus RUN_KEYS; each key's type is its default's.
+Unknown keys are rejected so ablation sweeps cannot silently typo a knob.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import sys
 
 from . import data as D
 from .net import NetConfig
@@ -12,9 +17,27 @@ from .train import TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_value", "load_config", "format_config"]
 
+SECTIONS = {"net": NetConfig, "train": TrainConfig, "twin": D.PhotometricTransform}
+RUN_KEYS = {"data.root": "", "out.dir": "runs/out"}   # data.root's "" only sets its type
+MANDATORY = ("train.seed", "data.root")
+
 
 class ConfigError(ValueError):
     """Bad key, bad value, or missing mandatory setting."""
+
+
+def _defaults():
+    """key -> the field's default, for every settable field of SECTIONS."""
+    keys = {}
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            if not dataclasses.is_dataclass(default):
+                keys[f"{section}.{f.name}"] = default
+    return keys | RUN_KEYS
+
+
+DEFAULTS = _defaults()
 
 
 def parse_value(raw):
@@ -35,47 +58,30 @@ def parse_value(raw):
     return raw
 
 
-def _expect(value, types, key):
-    if isinstance(value, bool) and bool not in types:
-        raise ConfigError(f"{key}: expected {types}, got boolean")
-    if not isinstance(value, tuple(types)):
-        raise ConfigError(f"{key}: expected {[t.__name__ for t in types]}, got {value!r}")
+def _check(key, value):
+    """The parsed value, or ConfigError if it does not fit the key's type."""
+    kind = type(DEFAULTS[key])
+    if kind is float:
+        # false for NaN, ±inf and ints too large for a float
+        ok, want = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
+    elif kind in (tuple, frozenset):
+        ok, want = type(value) is list and all(type(v) is int for v in value), "a list of integers"
+    else:
+        ok, want = type(value) is kind, {int: "an integer", bool: "true or false", str: "a string"}[kind]
+    if not ok:
+        raise ConfigError(f"{key}: expected {want}, got {value!r}")
     return value
 
 
-# key -> (types, default); None default means mandatory
-SCHEMA = {
-    "net.stage_channels": ([list], [8, 16, 32]),
-    "net.num_classes": ([int], 4),
-    "net.snr_stages": ([list], [2, 3]),
-    "net.isw_stages": ([list], [1, 2, 3]),
-    "net.lambda1": ([int, float], 0.6),
-    "net.lambda2": ([int, float], 1.0),
-    "net.attention_reduction": ([int], 4),
-    "net.k": ([int], 2),
-    "net.dc_mode": ([str], "full"),
-    "train.lr0": ([int, float], 1e-2),
-    "train.momentum": ([int, float], 0.9),
-    "train.poly_power": ([int, float], 0.9),
-    "train.epochs": ([int], 20),
-    "train.batch_size": ([int], 4),
-    "train.seed": ([int], None),
-    "train.warmup_epochs": ([int], 5),
-    "train.early_stop_patience": ([int], 10),
-    "train.flip_augment": ([bool], True),
-    "twin.brightness": ([int, float], 0.25),
-    "twin.contrast": ([int, float], 0.5),
-    "twin.hue": ([int, float], 120.0),
-    "twin.gamma_min": ([int, float], 0.5),
-    "twin.gamma_max": ([int, float], 2.2),
-    "twin.blur_sigma": ([int, float], 1.2),
-    "data.root": ([str], None),
-    "out.dir": ([str], "runs/out"),
-}
+def _as_written(value):
+    """A default in the form parse_value gives it, so the echo reads the same."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 class RunConfig:
-    """Resolved settings: file values + CLI overrides, schema-checked."""
+    """Resolved settings: file values + CLI overrides, type-checked."""
 
     def __init__(self, values):
         self.values = values
@@ -83,41 +89,17 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _section(self, name):
+        prefix = name + "."
+        return {key[len(prefix):]: type(DEFAULTS[key])(value)
+                for key, value in self.values.items() if key.startswith(prefix)}
+
     def net_config(self):
-        v = self.values
-        return NetConfig(
-            stage_channels=tuple(v["net.stage_channels"]),
-            num_classes=v["net.num_classes"],
-            snr_stages=frozenset(v["net.snr_stages"]),
-            isw_stages=frozenset(v["net.isw_stages"]),
-            lambda1=float(v["net.lambda1"]),
-            lambda2=float(v["net.lambda2"]),
-            attention_reduction=v["net.attention_reduction"],
-            k=v["net.k"],
-            dc_mode=v["net.dc_mode"],
-        )
+        return NetConfig(**self._section("net"))
 
     def train_config(self):
-        v = self.values
-        twin = D.PhotometricTransform(
-            brightness_jitter=float(v["twin.brightness"]),
-            contrast_jitter=float(v["twin.contrast"]),
-            hue_rotation=float(v["twin.hue"]),
-            gamma_range=(float(v["twin.gamma_min"]), float(v["twin.gamma_max"])),
-            gaussian_blur_sigma=float(v["twin.blur_sigma"]),
-        )
-        return TrainConfig(
-            lr0=float(v["train.lr0"]),
-            momentum=float(v["train.momentum"]),
-            poly_power=float(v["train.poly_power"]),
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            seed=v["train.seed"],
-            warmup_epochs=v["train.warmup_epochs"],
-            early_stop_patience=v["train.early_stop_patience"],
-            flip_augment=v["train.flip_augment"],
-            twin=twin,
-        )
+        twin = D.PhotometricTransform(**self._section("twin"))
+        return TrainConfig(**self._section("train"), twin=twin)
 
 
 def load_config(path=None, overrides=()):
@@ -138,17 +120,13 @@ def load_config(path=None, overrides=()):
         key, raw = item.split("=", 1)
         values[key.strip()] = parse_value(raw)
     for key in values:
-        if key not in SCHEMA:
+        if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-    resolved = {}
-    for key, (types, default) in SCHEMA.items():
-        if key in values:
-            resolved[key] = _expect(values[key], types, key)
-        elif default is None:
+    for key in MANDATORY:
+        if key not in values:
             raise ConfigError(f"mandatory key {key!r} missing")
-        else:
-            resolved[key] = default
-    return RunConfig(resolved)
+    return RunConfig({key: _check(key, values[key]) if key in values else _as_written(default)
+                      for key, default in DEFAULTS.items()})
 
 
 def format_config(cfg):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import ContractError
+
 __all__ = [
     "DomainSample",
     "PhotometricTransform",
@@ -63,19 +65,28 @@ class DomainSample:
 class PhotometricTransform:
     """Label-preserving jitter; parameters are sampled per call."""
 
-    brightness_jitter: float = 0.25
-    contrast_jitter: float = 0.5
-    hue_rotation: float = 120.0
-    gamma_range: tuple = (0.5, 2.2)
-    gaussian_blur_sigma: float = 1.2
+    brightness: float = 0.25
+    contrast: float = 0.5
+    hue: float = 120.0
+    gamma_min: float = 0.5
+    gamma_max: float = 2.2
+    blur_sigma: float = 1.2
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not 0 < self.gamma_min <= self.gamma_max:
+            raise ContractError(f"twin gamma_min {self.gamma_min} must lie in (0, gamma_max {self.gamma_max}]")
+        for name in ("brightness", "contrast", "hue", "blur_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ContractError(f"twin {name} must be >= 0, got {getattr(self, name)}")
 
     def sample_params(self, rng):
         return {
-            "brightness": rng.uniform(-self.brightness_jitter, self.brightness_jitter),
-            "contrast": rng.uniform(-self.contrast_jitter, self.contrast_jitter),
-            "hue": rng.uniform(-self.hue_rotation, self.hue_rotation),
-            "gamma": rng.uniform(*self.gamma_range),
-            "sigma": rng.uniform(0.0, self.gaussian_blur_sigma),
+            "brightness": rng.uniform(-self.brightness, self.brightness),
+            "contrast": rng.uniform(-self.contrast, self.contrast),
+            "hue": rng.uniform(-self.hue, self.hue),
+            "gamma": rng.uniform(self.gamma_min, self.gamma_max),
+            "sigma": rng.uniform(0.0, self.blur_sigma),
         }
 
 
@@ -229,10 +240,11 @@ def _read_netpbm_header(blob, magic, path):
             off += 1
         if start == off:
             raise FormatError(f"{path}: truncated header at byte {off}")
-        try:
-            fields.append(int(blob[start:off]))
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric header field at byte {start}") from None
+        # ASCII digits only: int() would also take "+2" and "1_0"; a leading
+        # "-" is read so that a negative size gets its own message below
+        if not blob[start:off].removeprefix(b"-").isdigit():
+            raise FormatError(f"{path}: non-numeric header field at byte {start}")
+        fields.append(int(blob[start:off]))
         starts.append(start)
     off += 1  # single whitespace after maxval
     w, h, maxval = fields

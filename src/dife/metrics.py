@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import IGNORE_INDEX, ContractError
 
 __all__ = ["ConfusionCounts", "MetricsReport", "confusion_from_masks", "compute_report"]
 
@@ -37,11 +37,11 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion_from_masks(pred, gt, num_classes, ignore_index=-1):
+def confusion_from_masks(pred, gt, num_classes):
     """Pixel-wise confusion counts for one prediction/ground-truth pair."""
     pred = np.asarray(pred).ravel()
     gt = np.asarray(gt).ravel()
-    keep = gt != ignore_index
+    keep = gt != IGNORE_INDEX
     pred, gt = pred[keep], gt[keep]
     if ((gt < 0) | (gt >= num_classes)).any():
         raise ContractError(f"ground-truth class out of range 0..{num_classes - 1}")

@@ -63,7 +63,7 @@ class NetConfig:
                 f"block stages must lie in 1..3: snr={sorted(self.snr_stages)} "
                 f"isw={sorted(self.isw_stages)}"
             )
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):   # NaN fails too
             raise ContractError("lambda1 and lambda2 must be non-negative")
         if self.attention_reduction < 1:
             raise ContractError(f"attention_reduction must be >= 1, got {self.attention_reduction}")
@@ -193,22 +193,22 @@ def forward_pair(x, tx, net):
     return record
 
 
-def task_loss(logits, mask, ignore_index=-1):
+def task_loss(logits, mask):
     """Cross-entropy over non-ignored pixels.
 
     total_loss looks this up as a module global, so a profiler can wrap it.
     """
-    return T.cross_entropy(logits, mask, ignore_index=ignore_index)
+    return T.cross_entropy(logits, mask)
 
 
-def total_loss(record, mask, cfg, stats_by_stage=None, ignore_index=-1):
+def total_loss(record, mask, cfg, stats_by_stage=None):
     """Task loss plus weighted per-stage ISW and dual-causality terms.
 
     stats_by_stage maps stage -> CovarianceStats; ISW terms require the
     frozen masks and are simply excluded when stats_by_stage is None
     (warmup) or lambda1 == 0.  Returns (loss, breakdown dict).
     """
-    loss = task_loss(record.logits, mask, ignore_index)
+    loss = task_loss(record.logits, mask)
     breakdown = {"task": loss.item()}
     if cfg.lambda2 > 0 and cfg.dc_mode != "none":
         for s, out in sorted(record.snr_outputs.items()):

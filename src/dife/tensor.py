@@ -38,7 +38,10 @@ __all__ = [
     "upsample_bilinear2x",
     "cross_entropy",
     "finite_difference_gradient",
+    "IGNORE_INDEX",
 ]
+
+IGNORE_INDEX = -1   # mask label of pixels that no loss or metric counts
 
 
 class ShapeError(ValueError):
@@ -540,22 +543,22 @@ def upsample_bilinear2x(x):
     return _maybe_record(out, (x,), lambda g: (np.matmul(np.matmul(ah.T, g), awt.T),))
 
 
-def cross_entropy(logits, target, ignore_index=-1):
+def cross_entropy(logits, target):
     """Mean −log softmax(logits)[target] over non-ignored pixels.
 
-    target is an integer (N, H, W) array; ignored pixels carry ignore_index.
+    target is an integer (N, H, W) array; ignored pixels carry IGNORE_INDEX.
     """
     n, c, h, w = logits.shape
     target = np.asarray(target)
     if target.shape != (n, h, w):
         raise ShapeError(f"cross_entropy: target shape {target.shape} != {(n, h, w)}")
-    bad = (target != ignore_index) & ((target < 0) | (target >= c))
+    valid = target != IGNORE_INDEX
+    bad = valid & ((target < 0) | (target >= c))
     if bad.any():
         where = tuple(int(v) for v in np.argwhere(bad)[0])
         raise ContractError(
             f"cross_entropy: class {int(target[where])} out of range at pixel {where}"
         )
-    valid = target != ignore_index
     count = int(valid.sum())
     if count == 0:
         raise ContractError("cross_entropy: no non-ignored pixels")

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+EVAL_BATCH = 8   # images per forward pass in predict/evaluate
+
+
 class NumericalError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
@@ -42,25 +45,19 @@ class TrainConfig:
     twin: D.PhotometricTransform = field(default_factory=D.PhotometricTransform)
 
     def __post_init__(self):
-        if self.lr0 <= 0:
+        # written so that NaN fails every check
+        if not self.lr0 > 0:
             raise ContractError(f"lr0 must be positive, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.poly_power <= 0:
+        if not self.poly_power > 0:
             raise ContractError(f"poly_power must be positive, got {self.poly_power}")
         for name in ("epochs", "batch_size", "warmup_epochs"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.early_stop_patience < 0:
-            raise ContractError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
-        twin = self.twin
-        gamma_min, gamma_max = twin.gamma_range
-        if not 0 < gamma_min <= gamma_max:
-            raise ContractError(f"twin gamma_min {gamma_min} must lie in (0, gamma_max {gamma_max}]")
-        for key, value in (("brightness", twin.brightness_jitter), ("contrast", twin.contrast_jitter),
-                           ("hue", twin.hue_rotation), ("blur_sigma", twin.gaussian_blur_sigma)):
-            if value < 0:
-                raise ContractError(f"twin {key} must be >= 0, got {value}")
+        for name in ("seed", "early_stop_patience"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def poly_lr(step, total_steps, cfg):
@@ -186,20 +183,20 @@ def _write_log(path, rows):
             writer.writerow([repr(row.get(k, "")) for k in keys])
 
 
-def predict(net, images, batch_size=8):
+def predict(net, images):
     """Argmax class maps for a stack of images, no gradients recorded."""
     preds = []
-    for lo in range(0, len(images), batch_size):
-        x = Tensor(np.stack(images[lo : lo + batch_size]))
+    for lo in range(0, len(images), EVAL_BATCH):
+        x = Tensor(np.stack(images[lo : lo + EVAL_BATCH]))
         logits = net.forward(x)
         preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds)
 
 
-def evaluate(net, samples, num_classes, batch_size=8):
+def evaluate(net, samples, num_classes):
     """MetricsReport over a dataset, from counts summed image by image."""
     total = ConfusionCounts(num_classes)
-    preds = predict(net, [s.image for s in samples], batch_size)
+    preds = predict(net, [s.image for s in samples])
     for pred, sample in zip(preds, samples):
         total.add(confusion_from_masks(pred, sample.mask, num_classes))
     return compute_report(total)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import dife.gradcheck as G
 import dife.isw as W
 import dife.net as N
 import dife.tensor as T
+import dife.train as TR
 from dife.cli import main
-from dife.config import ConfigError, load_config, parse_value
+from dife.config import ConfigError, format_config, load_config, parse_value
 
 
 def tree_hash(root):
@@ -52,7 +54,58 @@ def config_file(tmp_path, dataset):
     return path
 
 
+# The config surface: key -> default, None for the two mandatory keys.
+REFERENCE_KEYS = {
+    "net.stage_channels": [8, 16, 32],
+    "net.num_classes": 4,
+    "net.snr_stages": [2, 3],
+    "net.isw_stages": [1, 2, 3],
+    "net.lambda1": 0.6,
+    "net.lambda2": 1.0,
+    "net.attention_reduction": 4,
+    "net.k": 2,
+    "net.dc_mode": "full",
+    "train.lr0": 1e-2,
+    "train.momentum": 0.9,
+    "train.poly_power": 0.9,
+    "train.epochs": 20,
+    "train.batch_size": 4,
+    "train.seed": None,
+    "train.warmup_epochs": 5,
+    "train.early_stop_patience": 10,
+    "train.flip_augment": True,
+    "twin.brightness": 0.25,
+    "twin.contrast": 0.5,
+    "twin.hue": 120.0,
+    "twin.gamma_min": 0.5,
+    "twin.gamma_max": 2.2,
+    "twin.blur_sigma": 1.2,
+    "data.root": None,
+    "out.dir": "runs/out",
+}
+MANDATORY_ONLY = ["train.seed=1", "data.root=runs/data"]
+
+
 class TestConfigParsing:
+    def test_mandatory_keys_resolve_the_reference_surface(self):
+        cfg = load_config(None, MANDATORY_ONLY)
+        expect = REFERENCE_KEYS | {"train.seed": 1, "data.root": "runs/data"}
+        # repr tells 120.0 from 120 and [2, 3] from (2, 3)
+        assert {k: repr(v) for k, v in cfg.values.items()} == \
+            {k: repr(v) for k, v in expect.items()}
+        assert cfg.net_config() == N.NetConfig()
+        assert cfg.train_config() == TR.TrainConfig(seed=1)
+
+    def test_readme_table_matches_resolved_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` +\| ([^|]+?) +\|", readme, re.M)
+        documented = {key: cell.strip("`") for key, cell in rows}
+        echo = format_config(load_config(None, MANDATORY_ONLY))
+        resolved = dict(line.split(" = ", 1) for line in echo.splitlines())
+        resolved.update({"train.seed": "mandatory", "data.root": "mandatory"})
+        assert len(rows) == len(documented) == 26
+        assert documented == resolved
+
     def test_value_grammar(self):
         assert parse_value("[1,2,3]") == [1, 2, 3]
         assert parse_value("[]") == []
@@ -69,6 +122,10 @@ class TestConfigParsing:
         path.write_text("train.epochs = 1\n")
         with pytest.raises(ConfigError, match="train.seed|data.root"):
             load_config(path)
+
+    def test_number_beyond_float_range_rejected(self, config_file):
+        with pytest.raises(ConfigError, match="train.lr0: expected a finite number"):
+            load_config(config_file, ["train.lr0=1" + "0" * 400])
 
     def test_overrides_win(self, config_file):
         cfg = load_config(config_file, ["train.epochs=9", "net.lambda1=0.25"])
@@ -187,6 +244,12 @@ class TestTrainEvalCommands:
         ("twin.gamma_min=3.0", "gamma_min"), ("twin.gamma_min=0", "gamma_min"),
         ("twin.blur_sigma=-1", "blur_sigma"), ("twin.brightness=-0.1", "brightness"),
         ("train.early_stop_patience=-1", "early_stop_patience"),
+        ("train.seed=-1", "seed"),
+        ("train.poly_power=nan", "poly_power"), ("net.lambda1=nan", "lambda1"),
+        ("twin.hue=nan", "hue"),
+        ("net.stage_channels=[8,,16]", "stage_channels"), ("net.snr_stages=[a]", "snr_stages"),
+        ("net.stage_channels=[8.5,16,32]", "stage_channels"),
+        ("net.snr_stages=[2.7]", "snr_stages"),
     ])
     def test_out_of_range_training_value_is_config_error(self, config_file, tmp_path,
                                                          capsys, override, named):
@@ -215,16 +278,15 @@ class TestTrainEvalCommands:
 
 
 class TestAblate:
-    def test_cell_enumeration(self, config_file):
-        cfg = load_config(config_file)
-        assert len(C._ablation_cells("dcloss", cfg)) == 4
-        assert len(C._ablation_cells("k", cfg)) == 6
-        assert [c[0] for c in C._ablation_cells("k", cfg)] == \
+    def test_cell_enumeration(self):
+        assert len(C._ablation_cells("dcloss")) == 4
+        assert len(C._ablation_cells("k")) == 6
+        assert [c[0] for c in C._ablation_cells("k")] == \
             [f"k={k}" for k in (2, 3, 5, 7, 10, 20)]
-        assert len(C._ablation_cells("placement", cfg)) == 5
-        assert len(C._ablation_cells("lambda", cfg)) == 6
+        assert len(C._ablation_cells("placement")) == 5
+        assert len(C._ablation_cells("lambda")) == 6
         with pytest.raises(ConfigError):
-            C._ablation_cells("widths", cfg)
+            C._ablation_cells("widths")
 
     def test_non_integer_threads_is_config_error(self, config_file, monkeypatch, capsys):
         monkeypatch.setenv("DIFE_THREADS", "abc")

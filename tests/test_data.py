@@ -220,6 +220,14 @@ class TestNetpbm:
         self._bad_p6(tmp_path, b"0 0", b"", r"width 0 < 1 at byte 3")
         self._bad_p6(tmp_path, b"2 0", b"", r"height 0 < 1 at byte 5")
 
+    @pytest.mark.parametrize("header,byte", [(b"+2 10", 3), (b"2 1_0", 5)])
+    def test_size_with_sign_or_separator_rejected(self, tmp_path, header, byte):
+        # int() would read both as a 10x2 mask, which these 20 bytes fill exactly
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(b"P5\n" + header + b"\n255\n" + b"\x00" * 20)
+        with pytest.raises(FormatError, match=f"non-numeric header field at byte {byte}$"):
+            D.read_pgm(p)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         # a 2x2 P6 is an 11-byte header and 12 payload bytes
         self._bad_p6(tmp_path, b"2 2", b"\x00" * 13, r"1 bytes past the payload at byte 23")

@@ -47,6 +47,17 @@ class TestPolyLr:
             poly_lr(11, 10, self.CFG)
 
 
+@pytest.mark.parametrize("cls,name", [
+    (TrainConfig, "lr0"), (TrainConfig, "poly_power"), (TrainConfig, "momentum"),
+    (NetConfig, "lambda1"), (NetConfig, "lambda2"),
+    (D.PhotometricTransform, "hue"), (D.PhotometricTransform, "blur_sigma"),
+    (D.PhotometricTransform, "gamma_max"),
+])
+def test_nan_fails_config_range_checks(cls, name):
+    with pytest.raises(ContractError, match=name):
+        cls(**{name: math.nan})
+
+
 def scalar_param(value, name="p"):
     return Parameter(np.full((1, 1, 1, 1), float(value)), name)
 
