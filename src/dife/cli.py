@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -177,6 +178,17 @@ def cmd_gradcheck(args):
     return EXIT_OK if ok else 1
 
 
+def pin_heap():
+    """Fix glibc's heap thresholds, so arrays one command frees stay mapped for
+    the next instead of being trimmed and faulted back in.  No-op on other libcs."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None   # no ldconfig subprocess
+    if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        # either one alone freezes the dynamic mmap threshold: 140-270k faults per eval
+        libc.mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD: stops frees from trimming the heap top
+        libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: stops arrays under 32 MiB being mmapped
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dife",
@@ -228,6 +240,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    pin_heap()
     try:
         return args.fn(args)
     except (ConfigError, ContractError, D.FormatError, D.GenerationError,

@@ -73,12 +73,12 @@ class PhotometricTransform:
     blur_sigma: float = 1.2
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.gamma_min <= self.gamma_max:
-            raise ContractError(f"twin gamma_min {self.gamma_min} must lie in (0, gamma_max {self.gamma_max}]")
+        # written so that NaN and +-inf fail every check
+        if not 0 < self.gamma_min <= self.gamma_max < np.inf:
+            raise ContractError(f"twin gamma_min {self.gamma_min} must lie in (0, gamma_max {self.gamma_max}], both finite")
         for name in ("brightness", "contrast", "hue", "blur_sigma"):
-            if not getattr(self, name) >= 0:
-                raise ContractError(f"twin {name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ContractError(f"twin {name} must be finite and >= 0, got {getattr(self, name)}")
 
     def sample_params(self, rng):
         return {

@@ -50,9 +50,12 @@ class NetConfig:
     dc_mode: str = "full"
 
     def __post_init__(self):
-        self.stage_channels = tuple(int(c) for c in self.stage_channels)
-        self.snr_stages = frozenset(int(s) for s in self.snr_stages)
-        self.isw_stages = frozenset(int(s) for s in self.isw_stages)
+        for name in ("stage_channels", "snr_stages", "isw_stages"):
+            if any(type(v) is not int for v in getattr(self, name)):   # no bools, no truncation
+                raise ContractError(f"{name} must hold integers only, got {list(getattr(self, name))}")
+        self.stage_channels = tuple(self.stage_channels)
+        self.snr_stages = frozenset(self.snr_stages)
+        self.isw_stages = frozenset(self.isw_stages)
         if len(self.stage_channels) != 3 or min(self.stage_channels) < 1:
             raise ContractError(
                 f"stage_channels must be three positive widths, got {list(self.stage_channels)}"

@@ -145,7 +145,9 @@ class Tape:
     as soon as nothing held it raised setup_s by 25 %.  Even this drop, with
     a zero-padded frame in _lower, made each train-plain `dife eval` take
     about 49k minor faults (337 img/s); without the frame it takes about
-    2.3k (419 img/s), and before this drop took 1-22k (369 img/s).
+    2.3k (419 img/s), and before this drop took 1-22k (369 img/s).  The
+    `dife` command pins glibc's trim and mmap thresholds at start; the
+    deferral remains for library callers, which run with glibc's defaults.
     """
 
     def __init__(self):
@@ -263,11 +265,6 @@ def _maybe_record(out, inputs, backward_fn):
 
     tape._emit(out, [p for _, p in live], bwd)
     return out
-
-
-def _check_same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
 def _bcast_shape_ok(x, y):

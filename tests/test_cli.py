@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import os
+import platform
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +330,55 @@ class TestGradcheck:
         assert code == 1
         stdout = capsys.readouterr().out
         assert "FAIL" in stdout and "sigmoid" in stdout
+
+
+# Train on 32 images, then evaluate 192 (the benchmark's sizes) three times
+# in one process; prints each eval call's minor page faults.
+EVAL_FAULTS_SCRIPT = """
+import os, resource, sys
+from dife.cli import main
+
+root = sys.argv[1]
+small, big, out, cfg = (os.path.join(root, name) for name in ("small", "big", "out", "run.cfg"))
+with open(cfg, "w") as fh:
+    fh.write(f"data.root = {small}\\ntrain.seed = 1\\ntrain.epochs = 1\\ntrain.warmup_epochs = 1\\n")
+assert main(["generate", "--out", small, "--count", "40", "--seed", "2"]) == 0
+assert main(["generate", "--out", big, "--count", "240", "--seed", "3"]) == 0
+assert main(["train", "--config", cfg, "--out", out]) == 0
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["eval", "--config", cfg, "--out", out, "--data", big, "--domain", "source",
+                 "--split", "train", "--checkpoint", os.path.join(out, "checkpoint.dife")]) == 0
+    print("faults", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapSettings:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc only")
+    def test_repeated_eval_does_not_refault_its_arrays(self, tmp_path):
+        # With glibc's dynamic thresholds the heap top is trimmed after each
+        # eval, and the third eval faulted 16-25k pages back in.
+        env = dict(os.environ, PYTHONPATH=str(Path(C.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", EVAL_FAULTS_SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        faults = [int(line.split()[1]) for line in proc.stdout.splitlines()
+                  if line.startswith("faults ")]
+        assert len(faults) == 3 and faults[2] < 500, faults
+
+    def test_other_c_libraries_are_left_alone(self, config_file, tmp_path, monkeypatch):
+        calls = []
+
+        class NotGlibc:   # has mallopt, lacks gnu_get_libc_version (musl, say)
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(C.ctypes, "CDLL", lambda name: NotGlibc())
+        assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "b")]) == 0
+        assert calls == []
+        assert ((tmp_path / "a" / "checkpoint.dife").read_bytes()
+                == (tmp_path / "b" / "checkpoint.dife").read_bytes())
 
 
 class TestParser:

@@ -1,5 +1,7 @@
 """Synthetic benchmark: generation, photometric twin, netpbm IO."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dife.data import (DomainSample, FormatError, GenerationError,
                        PhotometricTransform, apply_photometric, gaussian_blur,
                        generate_domain, generate_sample, hue_rotate,
                        random_flip)
+from dife.tensor import ContractError
 
 
 class TestGeneration:
@@ -130,6 +133,14 @@ class TestPhotometric:
         assert gaussian_blur(x, 0.0) is x
         flat = np.full((3, 8, 8), 0.3)
         assert np.allclose(gaussian_blur(flat, 1.5), 0.3, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["hue", "blur_sigma", "gamma_max"])
+    def test_infinite_range_rejected(self, name, value):
+        # +inf would construct and overflow at the first draw; NaN is
+        # covered by test_train_eval's range checks
+        with pytest.raises(ContractError, match=name):
+            PhotometricTransform(**{name: value})
 
 
 class TestRandomFlip:

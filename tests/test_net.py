@@ -31,6 +31,15 @@ class TestConfig:
         with pytest.raises(ContractError):
             NetConfig(isw_stages={0})
 
+    @pytest.mark.parametrize("field,value", [
+        ("stage_channels", (8.5, 16, 32)), ("stage_channels", (8, 16.0, 32)),
+        ("snr_stages", [2.7]), ("isw_stages", {True}), ("snr_stages", ["2"]),
+    ])
+    def test_rejects_non_integer_lists(self, field, value):
+        # int() would truncate 8.5 to 8 and 2.7 to 2, and True is an int subclass
+        with pytest.raises(ContractError, match=field):
+            NetConfig(**{field: value})
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ContractError):
             NetConfig(lambda1=-0.1)
