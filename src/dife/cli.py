@@ -51,9 +51,10 @@ def _parse_size(text):
 def cmd_generate(args):
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise ConfigError(f"output dir {args.out!r} is not empty (use --force)")
-    os.makedirs(args.out, exist_ok=True)
     rows = D.write_dataset(args.out, args.count, args.seed, _parse_size(args.size))
     n_train, n_val, n_test = D.split_counts(args.count)
     print(f"wrote {rows} samples to {args.out} "

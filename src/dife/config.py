@@ -2,23 +2,24 @@
 
 Arrays are written `[a,b,c]`.  The keys are the fields of the config
 objects (`net.*` NetConfig, `train.*` TrainConfig, `twin.*`
-PhotometricTransform) plus RUN_KEYS; each key's type is its default's.
-Unknown keys are rejected so ablation sweeps cannot silently typo a knob.
+PhotometricTransform) plus RUN_KEYS; each key's type and range are its
+field's (see `fields`).  Unknown keys are rejected so ablation sweeps
+cannot silently typo a knob.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 from . import data as D
 from .net import NetConfig
+from .tensor import ContractError
 from .train import TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_value", "load_config", "format_config"]
 
 SECTIONS = {"net": NetConfig, "train": TrainConfig, "twin": D.PhotometricTransform}
-RUN_KEYS = {"data.root": "", "out.dir": "runs/out"}   # data.root's "" only sets its type
+RUN_KEYS = {"data.root": "", "out.dir": "runs/out"}   # paths; data.root is mandatory
 MANDATORY = ("train.seed", "data.root")
 
 
@@ -26,18 +27,9 @@ class ConfigError(ValueError):
     """Bad key, bad value, or missing mandatory setting."""
 
 
-def _defaults():
-    """key -> the field's default, for every settable field of SECTIONS."""
-    keys = {}
-    for section, cls in SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            if not dataclasses.is_dataclass(default):
-                keys[f"{section}.{f.name}"] = default
-    return keys | RUN_KEYS
-
-
-DEFAULTS = _defaults()
+# key -> default, for every field that declares its allowed values (all but the nested twin)
+DEFAULTS = {f"{section}.{f.name}": f.default for section, cls in SECTIONS.items()
+            for f in dataclasses.fields(cls) if "allowed" in f.metadata} | RUN_KEYS
 
 
 def parse_value(raw):
@@ -58,21 +50,6 @@ def parse_value(raw):
     return raw
 
 
-def _check(key, value):
-    """The parsed value, or ConfigError if it does not fit the key's type."""
-    kind = type(DEFAULTS[key])
-    if kind is float:
-        # false for NaN, ±inf and ints too large for a float
-        ok, want = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
-    elif kind in (tuple, frozenset):
-        ok, want = type(value) is list and all(type(v) is int for v in value), "a list of integers"
-    else:
-        ok, want = type(value) is kind, {int: "an integer", bool: "true or false", str: "a string"}[kind]
-    if not ok:
-        raise ConfigError(f"{key}: expected {want}, got {value!r}")
-    return value
-
-
 def _as_written(value):
     """A default in the form parse_value gives it, so the echo reads the same."""
     if isinstance(value, frozenset):
@@ -81,25 +58,30 @@ def _as_written(value):
 
 
 class RunConfig:
-    """Resolved settings: file values + CLI overrides, type-checked."""
+    """Resolved settings (file values + CLI overrides) and the config objects built from them."""
 
-    def __init__(self, values):
+    def __init__(self, values, net, train):
         self.values = values
+        self._net, self._train = net, train
 
     def __getitem__(self, key):
         return self.values[key]
 
-    def _section(self, name):
-        prefix = name + "."
-        return {key[len(prefix):]: type(DEFAULTS[key])(value)
-                for key, value in self.values.items() if key.startswith(prefix)}
-
     def net_config(self):
-        return NetConfig(**self._section("net"))
+        return self._net
 
     def train_config(self):
-        twin = D.PhotometricTransform(**self._section("twin"))
-        return TrainConfig(**self._section("train"), twin=twin)
+        return self._train
+
+
+def _build(section, values, **nested):
+    """SECTIONS[section] from its keys; a ContractError becomes a ConfigError naming the key."""
+    prefix = section + "."
+    fields = {key[len(prefix):]: value for key, value in values.items() if key.startswith(prefix)}
+    try:
+        return SECTIONS[section](**fields, **nested)
+    except ContractError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def load_config(path=None, overrides=()):
@@ -125,8 +107,12 @@ def load_config(path=None, overrides=()):
     for key in MANDATORY:
         if key not in values:
             raise ConfigError(f"mandatory key {key!r} missing")
-    return RunConfig({key: _check(key, values[key]) if key in values else _as_written(default)
-                      for key, default in DEFAULTS.items()})
+    values = {key: values.get(key, _as_written(default)) for key, default in DEFAULTS.items()}
+    for key in RUN_KEYS:
+        if type(values[key]) is not str:
+            raise ConfigError(f"{key}: expected a path, got {values[key]!r}")
+    twin = _build("twin", values)
+    return RunConfig(values, _build("net", values), _build("train", values, twin=twin))
 
 
 def format_config(cfg):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, ranged
 from .tensor import ContractError
 
 __all__ = [
@@ -65,20 +66,17 @@ class DomainSample:
 class PhotometricTransform:
     """Label-preserving jitter; parameters are sampled per call."""
 
-    brightness: float = 0.25
-    contrast: float = 0.5
-    hue: float = 120.0
-    gamma_min: float = 0.5
-    gamma_max: float = 2.2
-    blur_sigma: float = 1.2
+    brightness: float = ranged(0.25, "[0, inf)")
+    contrast: float = ranged(0.5, "[0, inf)")
+    hue: float = ranged(120.0, "[0, inf)")
+    gamma_min: float = ranged(0.5, "(0, inf)")
+    gamma_max: float = ranged(2.2, "(0, inf)")
+    blur_sigma: float = ranged(1.2, "[0, inf)")
 
     def __post_init__(self):
-        # written so that NaN and +-inf fail every check
-        if not 0 < self.gamma_min <= self.gamma_max < np.inf:
-            raise ContractError(f"twin gamma_min {self.gamma_min} must lie in (0, gamma_max {self.gamma_max}], both finite")
-        for name in ("brightness", "contrast", "hue", "blur_sigma"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ContractError(f"twin {name} must be finite and >= 0, got {getattr(self, name)}")
+        check_fields(self)
+        if self.gamma_min > self.gamma_max:
+            raise ContractError(f"gamma_min: expected at most gamma_max {self.gamma_max}, got {self.gamma_min}")
 
     def sample_params(self, rng):
         return {
@@ -185,8 +183,8 @@ def _target_style(img, h, w):
 def generate_sample(seed, index, domain, size):
     """One sample; geometry and base colors depend only on (seed, index)."""
     h, w = size
-    if h < 32 or w < 32:
-        raise GenerationError(f"canvas {h}x{w} too small, need >= 32x32")
+    if h < 32 or w < 32 or h % 4 or w % 4:   # the net needs each side a multiple of 4
+        raise GenerationError(f"canvas {h}x{w}: need >= 32x32, each side a multiple of 4")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     mask = np.zeros((h, w), dtype=np.int64)
     _draw_disc(mask, rng, h, w)

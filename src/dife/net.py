@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as T
 from . import snr as S
 from . import isw as W
+from .fields import check_fields, ranged
 from .tensor import Tensor, Parameter, ContractError, ShapeError
 
 __all__ = [
@@ -39,46 +40,25 @@ DC_MODES = ("full", "no_plus", "no_minus", "none")
 
 @dataclass
 class NetConfig:
-    stage_channels: tuple = (8, 16, 32)
-    num_classes: int = 4
-    snr_stages: frozenset = frozenset({2, 3})
-    isw_stages: frozenset = frozenset({1, 2, 3})
-    lambda1: float = 0.6
-    lambda2: float = 1.0
-    attention_reduction: int = 4
-    k: int = 2
-    dc_mode: str = "full"
+    stage_channels: tuple = ranged((8, 16, 32), "[1, inf)")
+    num_classes: int = ranged(4, "[2, inf)")
+    snr_stages: frozenset = ranged(frozenset({2, 3}), "[1, 3]")
+    isw_stages: frozenset = ranged(frozenset({1, 2, 3}), "[1, 3]")
+    lambda1: float = ranged(0.6, "[0, inf)")
+    lambda2: float = ranged(1.0, "[0, inf)")
+    attention_reduction: int = ranged(4, "[1, inf)")
+    k: int = ranged(2, "[2, inf)")
+    dc_mode: str = ranged("full", DC_MODES)
 
     def __post_init__(self):
-        for name in ("stage_channels", "snr_stages", "isw_stages"):
-            if any(type(v) is not int for v in getattr(self, name)):   # no bools, no truncation
-                raise ContractError(f"{name} must hold integers only, got {list(getattr(self, name))}")
-        self.stage_channels = tuple(self.stage_channels)
-        self.snr_stages = frozenset(self.snr_stages)
-        self.isw_stages = frozenset(self.isw_stages)
-        if len(self.stage_channels) != 3 or min(self.stage_channels) < 1:
-            raise ContractError(
-                f"stage_channels must be three positive widths, got {list(self.stage_channels)}"
-            )
-        valid = {1, 2, 3}
-        if not self.snr_stages <= valid or not self.isw_stages <= valid:
-            raise ContractError(
-                f"block stages must lie in 1..3: snr={sorted(self.snr_stages)} "
-                f"isw={sorted(self.isw_stages)}"
-            )
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):   # NaN fails too
-            raise ContractError("lambda1 and lambda2 must be non-negative")
-        if self.attention_reduction < 1:
-            raise ContractError(f"attention_reduction must be >= 1, got {self.attention_reduction}")
-        if self.k < 2:
-            raise ContractError(f"k must be >= 2 ISW clusters, got {self.k}")
-        if self.dc_mode not in DC_MODES:
-            raise ContractError(f"dc_mode must be one of {DC_MODES}, got {self.dc_mode!r}")
+        check_fields(self)
+        if len(self.stage_channels) != 3:
+            raise ContractError(f"stage_channels: expected three widths, got {list(self.stage_channels)}")
         for s in self.snr_stages:
             if self.stage_channels[s - 1] % self.attention_reduction != 0:
                 raise ContractError(
-                    f"attention reduction {self.attention_reduction} does not divide "
-                    f"stage {s} width {self.stage_channels[s - 1]}"
+                    f"attention_reduction: expected a divisor of stage {s} width "
+                    f"{self.stage_channels[s - 1]}, got {self.attention_reduction}"
                 )
 
 

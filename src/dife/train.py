@@ -11,6 +11,7 @@ import numpy as np
 from . import net as N
 from . import isw as W
 from . import data as D
+from .fields import check_fields, ranged
 from .metrics import ConfusionCounts, confusion_from_masks, compute_report
 from .tensor import Tape, Tensor, ContractError
 
@@ -33,31 +34,19 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    lr0: float = 1e-2
-    momentum: float = 0.9
-    poly_power: float = 0.9
-    epochs: int = 20
-    batch_size: int = 4
-    seed: int = 0
-    warmup_epochs: int = 5
-    early_stop_patience: int = 10
-    flip_augment: bool = True
+    lr0: float = ranged(1e-2, "(0, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    poly_power: float = ranged(0.9, "(0, inf)")
+    epochs: int = ranged(20, "[1, inf)")
+    batch_size: int = ranged(4, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
+    warmup_epochs: int = ranged(5, "[1, inf)")
+    early_stop_patience: int = ranged(10, "[0, inf)")
+    flip_augment: bool = ranged(True, (True, False))
     twin: D.PhotometricTransform = field(default_factory=D.PhotometricTransform)
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.lr0 > 0:
-            raise ContractError(f"lr0 must be positive, got {self.lr0}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.poly_power > 0:
-            raise ContractError(f"poly_power must be positive, got {self.poly_power}")
-        for name in ("epochs", "batch_size", "warmup_epochs"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("seed", "early_stop_patience"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self)
 
 
 def poly_lr(step, total_steps, cfg):

@@ -1,7 +1,9 @@
 """Command-line front end: generate, train, eval, ablate, gradcheck."""
 
 import csv
+import dataclasses
 import hashlib
+import math
 import os
 import platform
 import re
@@ -20,7 +22,7 @@ import dife.net as N
 import dife.tensor as T
 import dife.train as TR
 from dife.cli import main
-from dife.config import ConfigError, format_config, load_config, parse_value
+from dife.config import RUN_KEYS, SECTIONS, ConfigError, format_config, load_config, parse_value
 
 
 def tree_hash(root):
@@ -88,6 +90,61 @@ REFERENCE_KEYS = {
 }
 MANDATORY_ONLY = ["train.seed=1", "data.root=runs/data"]
 
+# key -> field, for every config field that declares its allowed values
+RANGED = {f"{section}.{f.name}": f for section, cls in SECTIONS.items()
+          for f in dataclasses.fields(cls) if "allowed" in f.metadata}
+# settings the cross-field checks need for an accepted bound to construct
+COMPANIONS = {"net.stage_channels": {"net.attention_reduction": 1},
+              "twin.gamma_max": {"twin.gamma_min": math.ulp(0.0)}}
+
+
+def boundary_values(f):
+    """(accepted, rejected) probes for one ranged field, read from its declared text."""
+    allowed, kind = f.metadata["allowed"], type(f.default)
+    interval = re.search(r" in ([\[(])(\S+), (\S+)([\])])$", allowed)
+    if interval is None:   # back-quoted choices; the last probe holds all of them in one string
+        choices = re.findall(r"`([^`]+)`", allowed)
+        return [parse_value(c) for c in choices], ["nonesuch", 1, allowed.strip("`")]
+    number = kind is float
+
+    def step(value, toward):   # the nearest value past `value` in the direction of `toward`
+        return math.nextafter(value, toward) if number else value + (1 if toward > value else -1)
+
+    lo_bracket, lo, hi, hi_bracket = interval.groups()
+    accepted, rejected = [], []
+    for bound, bracket, inward in ((lo, lo_bracket, math.inf), (hi, hi_bracket, -math.inf)):
+        if bound.lstrip("-") == "inf":
+            continue
+        bound = float(bound) if number else int(bound)
+        if bracket in "[]":
+            accepted.append(bound)
+            rejected.append(step(bound, -inward))
+        else:
+            accepted.append(step(bound, inward))
+            rejected.append(bound)
+    rejected += [math.nan, math.inf, -math.inf, True] if number else [True, 2.5]
+    if kind in (tuple, frozenset):   # the same probe in every slot of the list
+        width = len(f.default)
+        return [[v] * width for v in accepted], [[v] * width for v in rejected]
+    return accepted, rejected
+
+
+def written(value):
+    """`value` as a config file or --set writes it."""
+    if isinstance(value, list):
+        return "[" + ",".join(map(written, value)) + "]"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def probes(which):
+    return [pytest.param(key, value, id=f"{key}={written(value)}")
+            for key, f in RANGED.items() for value in boundary_values(f)[which]]
+
+
+def built(cfg, section):
+    return {"net": cfg.net_config(), "train": cfg.train_config(),
+            "twin": cfg.train_config().twin}[section]
+
 
 class TestConfigParsing:
     def test_mandatory_keys_resolve_the_reference_surface(self):
@@ -101,13 +158,17 @@ class TestConfigParsing:
 
     def test_readme_table_matches_resolved_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` +\| ([^|]+?) +\|", readme, re.M)
-        documented = {key: cell.strip("`") for key, cell in rows}
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` +\| ([^|]+?) +\| ([^|]+?) +\|$", readme, re.M)
+        documented = {key: cell.strip("`") for key, cell, _ in rows}
         echo = format_config(load_config(None, MANDATORY_ONLY))
         resolved = dict(line.split(" = ", 1) for line in echo.splitlines())
         resolved.update({"train.seed": "mandatory", "data.root": "mandatory"})
         assert len(rows) == len(documented) == 26
         assert documented == resolved
+        # the allowed-values cell is the declared range, then optional prose after a colon
+        declared = {key: f.metadata["allowed"] for key, f in RANGED.items()} | dict.fromkeys(RUN_KEYS, "path")
+        for key, _, cell in rows:
+            assert cell == declared[key] or cell.startswith(declared[key] + ": "), key
 
     def test_value_grammar(self):
         assert parse_value("[1,2,3]") == [1, 2, 3]
@@ -127,13 +188,47 @@ class TestConfigParsing:
             load_config(path)
 
     def test_number_beyond_float_range_rejected(self, config_file):
-        with pytest.raises(ConfigError, match="train.lr0: expected a finite number"):
+        with pytest.raises(ConfigError, match=r"^train\.lr0: expected number in \(0, inf\), got 10{400}$"):
             load_config(config_file, ["train.lr0=1" + "0" * 400])
 
     def test_overrides_win(self, config_file):
         cfg = load_config(config_file, ["train.epochs=9", "net.lambda1=0.25"])
         assert cfg["train.epochs"] == 9
         assert cfg.net_config().lambda1 == 0.25
+
+
+class TestRangeSweep:
+    """Every ranged field at its bounds, through the dataclass, load_config and the CLI."""
+
+    def test_every_field_declares_its_range(self):
+        undeclared = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
+                      for f in dataclasses.fields(cls) if "allowed" not in f.metadata]
+        assert undeclared == ["train.twin"]
+
+    @pytest.mark.parametrize("key,value", probes(0))
+    def test_bound_accepted(self, key, value):
+        section, name = key.split(".")
+        settings = {key: value} | COMPANIONS.get(key, {})
+        expect = type(RANGED[key].default)(value)
+        obj = SECTIONS[section](**{k.split(".")[1]: v for k, v in settings.items()})
+        cfg = load_config(None, MANDATORY_ONLY + [f"{k}={written(v)}" for k, v in settings.items()])
+        for got in (getattr(obj, name), getattr(built(cfg, section), name)):
+            assert type(got) is type(expect) and got == expect
+
+    @pytest.mark.parametrize("key,value", probes(1))
+    def test_out_of_range_rejected_everywhere(self, key, value, tmp_path, capsys):
+        section, name = key.split(".")
+        allowed = re.escape(RANGED[key].metadata["allowed"])
+        with pytest.raises(T.ContractError, match=rf"^{name}: expected {allowed}, got "):
+            SECTIONS[section](**{name: value})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected {allowed}, got "):
+            load_config(None, MANDATORY_ONLY + [f"{key}={written(value)}"])
+        config, out = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(f"train.seed = 1\ndata.root = {tmp_path / 'data'}\n")
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--set", f"{key}={written(value)}"]) == C.EXIT_CONFIG
+        assert f"error: {key}: expected" in capsys.readouterr().err
+        assert not out.exists()   # no config echo, no checkpoint
 
 
 class TestGenerate:
@@ -147,6 +242,18 @@ class TestGenerate:
     def test_zero_count_usage_error(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "z"), "--count", "0",
                      "--seed", "1"]) == C.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--seed", "-1", "--seed"),
+        ("--size", "34x34", "34x34"),   # every train would reject it: not a multiple of 4
+    ])
+    def test_unusable_dataset_refused(self, tmp_path, capsys, flag, value, named):
+        args = {"--count": "2", "--seed": "1", "--size": "32x32"} | {flag: value}
+        out = tmp_path / "g"
+        assert main(["generate", "--out", str(out)] + [a for kv in args.items() for a in kv]) \
+            == C.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refuses_non_empty_without_force(self, tmp_path):
         out = tmp_path / "busy"
@@ -241,13 +348,14 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("override,named", [
         ("train.batch_size=0", "batch_size"), ("train.epochs=0", "epochs"),
         ("train.warmup_epochs=0", "warmup_epochs"),
-        ("net.attention_reduction=0", "attention_reduction"), ("net.k=1", "k must be"),
+        ("net.attention_reduction=0", "attention_reduction"), ("net.k=1", "net.k"),
         ("net.stage_channels=[8,0,8]", "stage_channels"),
         ("net.stage_channels=[8,16]", "stage_channels"),
         ("twin.gamma_min=3.0", "gamma_min"), ("twin.gamma_min=0", "gamma_min"),
         ("twin.blur_sigma=-1", "blur_sigma"), ("twin.brightness=-0.1", "brightness"),
         ("train.early_stop_patience=-1", "early_stop_patience"),
         ("train.seed=-1", "seed"),
+        ("net.num_classes=-1", "net.num_classes"), ("net.num_classes=1", "net.num_classes"),
         ("train.poly_power=nan", "poly_power"), ("net.lambda1=nan", "lambda1"),
         ("twin.hue=nan", "hue"),
         ("net.stage_channels=[8,,16]", "stage_channels"), ("net.snr_stages=[a]", "snr_stages"),
@@ -259,6 +367,7 @@ class TestTrainEvalCommands:
         assert main(["train", "--config", str(config_file), "--set", override]) == C.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.dife").exists()
+        assert not (tmp_path / "out" / "config_resolved.txt").exists()
 
     def test_nonfinite_loss_is_numeric_error(self, config_file):
         # an absurd learning rate reliably blows the loss up
