@@ -71,12 +71,22 @@ def _prepare_run(args):
     return cfg, out_dir
 
 
+def _load_split(root, domain, split, num_classes):
+    """D.load_dataset, refusing masks that hold a class the net has no output for."""
+    samples = D.load_dataset(root, domain, split)
+    top = max((int(s.mask.max()) for s in samples), default=-1)
+    if top >= num_classes:
+        raise ConfigError(f"net.num_classes: expected at least {top + 1}, the classes in the "
+                          f"masks of {os.path.join(root, domain, split)}, got {num_classes}")
+    return samples
+
+
 def cmd_train(args):
     cfg, out_dir = _prepare_run(args)
     ncfg = cfg.net_config()
     tcfg = cfg.train_config()
-    train_set = D.load_dataset(cfg["data.root"], "source", "train")
-    val_set = D.load_dataset(cfg["data.root"], "source", "val")
+    train_set = _load_split(cfg["data.root"], "source", "train", ncfg.num_classes)
+    val_set = _load_split(cfg["data.root"], "source", "val", ncfg.num_classes)
     net = N.SegNet(ncfg, seed=tcfg.seed)
     print(f"config: snr={sorted(ncfg.snr_stages)} isw={sorted(ncfg.isw_stages)} "
           f"lambda1={ncfg.lambda1} lambda2={ncfg.lambda2} dc={ncfg.dc_mode} seed={tcfg.seed}")
@@ -91,7 +101,7 @@ def cmd_eval(args):
     ncfg = cfg.net_config()
     net = N.SegNet(ncfg, seed=cfg.train_config().seed)
     N.load_checkpoint(args.checkpoint, net)
-    samples = D.load_dataset(args.data, args.domain, args.split)
+    samples = _load_split(args.data, args.domain, args.split, ncfg.num_classes)
     if not samples:
         raise ConfigError(f"no samples under {args.data}/{args.domain}/{args.split}")
     report = TR.evaluate(net, samples, ncfg.num_classes)
@@ -112,11 +122,11 @@ def run_cell(payload):
     cfg = load_config(config_path, overrides)
     ncfg = cfg.net_config()
     tcfg = cfg.train_config()
-    train_set = D.load_dataset(data_root, "source", "train")
-    val_set = D.load_dataset(data_root, "source", "val")
+    train_set = _load_split(data_root, "source", "train", ncfg.num_classes)
+    val_set = _load_split(data_root, "source", "val", ncfg.num_classes)
     net = N.SegNet(ncfg, seed=tcfg.seed)
     best, _, _ = TR.train(net, tcfg, train_set, val_set)
-    target_test = D.load_dataset(data_root, "target", "test")
+    target_test = _load_split(data_root, "target", "test", ncfg.num_classes)
     target_rep = TR.evaluate(net, target_test, ncfg.num_classes)
     return {"val_miou": best["miou"], "target_miou": target_rep.miou}
 
@@ -181,13 +191,16 @@ def cmd_gradcheck(args):
 
 def pin_heap():
     """Fix glibc's heap thresholds, so arrays one command frees stay mapped for
-    the next instead of being trimmed and faulted back in.  No-op on other libcs."""
+    the next instead of being trimmed and faulted back in, and keep every
+    thread on that one heap.  No-op on other libcs."""
     libc = ctypes.CDLL(None) if os.name == "posix" else None   # no ldconfig subprocess
     if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
         libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         # either one alone freezes the dynamic mmap threshold: 140-270k faults per eval
         libc.mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD: stops frees from trimming the heap top
         libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: stops arrays under 32 MiB being mmapped
+        # M_ARENA_MAX: the eval threads share this heap; an arena each kept its own peak (+7 MiB)
+        libc.mallopt(-8, 1)
 
 
 def build_parser():

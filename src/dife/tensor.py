@@ -8,6 +8,8 @@ every forward pass (define-by-run).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -518,8 +520,10 @@ def mean_all(x):
     return _maybe_record(out, (x,), lambda g: (np.broadcast_to(g / n, shp).copy(),))
 
 
+@functools.lru_cache(maxsize=None)
 def _bilinear_matrix(size):
-    """(2*size, size) interpolation weights, half-pixel-centre convention."""
+    """(2*size, size) interpolation weights, half-pixel-centre convention;
+    built once per size and shared read-only."""
     m = np.zeros((2 * size, size))
     for i in range(2 * size):
         src = (i + 0.5) / 2.0 - 0.5
@@ -529,6 +533,7 @@ def _bilinear_matrix(size):
         hi_c = min(max(lo + 1, 0), size - 1)
         m[i, lo_c] += 1.0 - frac
         m[i, hi_c] += frac
+    m.setflags(write=False)
     return m
 
 

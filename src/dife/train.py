@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from . import net as N
 from . import isw as W
 from . import data as D
+from . import tensor as T
 from .fields import check_fields, ranged
 from .metrics import ConfusionCounts, confusion_from_masks, compute_report
 from .tensor import Tape, Tensor, ContractError
@@ -25,7 +27,18 @@ __all__ = [
 ]
 
 
-EVAL_BATCH = 8   # images per forward pass in predict/evaluate
+EVAL_BATCH = 8   # images per batch in evaluate, split across the eval threads
+
+_POOL = None     # evaluate's threads, started on first use
+
+
+def _drop_pool():
+    """A forked child (`dife ablate`) inherits the pool but none of its threads."""
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
 
 
 class NumericalError(RuntimeError):
@@ -172,20 +185,41 @@ def _write_log(path, rows):
             writer.writerow([repr(row.get(k, "")) for k in keys])
 
 
-def predict(net, images):
-    """Argmax class maps for a stack of images, no gradients recorded."""
-    preds = []
-    for lo in range(0, len(images), EVAL_BATCH):
-        x = Tensor(np.stack(images[lo : lo + EVAL_BATCH]))
-        logits = net.forward(x)
-        preds.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(preds)
+def _piece_counts(net, samples, num_classes, err):
+    """Confusion counts of one piece of a batch: forward, argmax, one count.
+    `err` is the caller's np.geterr(), which a pool thread does not inherit."""
+    with np.errstate(**err):
+        logits = net.forward(Tensor(np.stack([s.image for s in samples])))
+        pred = np.argmax(logits.data, axis=1)
+        return confusion_from_masks(pred, np.stack([s.mask for s in samples]), num_classes)
 
 
 def evaluate(net, samples, num_classes):
-    """MetricsReport over a dataset, from counts summed image by image."""
+    """MetricsReport over a dataset, from confusion counts summed piece by piece.
+
+    Each EVAL_BATCH batch is split into up to one piece per core, evenly
+    sized, of at least two images: one row sends the SNR fully-connected
+    layer down numpy's gemv path, which rounds differently.  The pieces run
+    on a thread pool (numpy releases the GIL in matmul and array copies) and
+    this thread sums their integer counts, so the report is a serial run's.
+    A set of one batch, such as a small validation split, runs whole on this
+    thread: split, it took longer (the bench's 6-image validation, +8-12 %).
+    """
+    global _POOL
+    if T._ACTIVE_TAPE is not None:
+        raise ContractError("evaluate: a tape is active; the eval threads would record on it")
+    err = np.geterr()
+    if len(samples) <= EVAL_BATCH:
+        return compute_report(_piece_counts(net, samples, num_classes, err))
+    cores = len(os.sched_getaffinity(0))
+    pieces = []
+    for lo in range(0, len(samples), EVAL_BATCH):
+        batch = samples[lo : lo + EVAL_BATCH]
+        k = max(1, min(cores, len(batch) // 2))
+        pieces += [batch[len(batch) * i // k : len(batch) * (i + 1) // k] for i in range(k)]
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=cores, thread_name_prefix="dife-eval")
     total = ConfusionCounts(num_classes)
-    preds = predict(net, [s.image for s in samples])
-    for pred, sample in zip(preds, samples):
-        total.add(confusion_from_masks(pred, sample.mask, num_classes))
+    for counts in _POOL.map(lambda piece: _piece_counts(net, piece, num_classes, err), pieces):
+        total.add(counts)
     return compute_report(total)

@@ -312,6 +312,27 @@ class TestTrainEvalCommands:
                      "--set", "net.num_classes=6",
                      "--out", str(tmp_path / "e3")]) == C.EXIT_CONFIG
 
+    def test_train_refuses_masks_beyond_num_classes(self, config_file, tmp_path, dataset,
+                                                    capsys):
+        assert main(["train", "--config", str(config_file),
+                     "--set", "net.num_classes=2"]) == C.EXIT_CONFIG
+        assert (f"net.num_classes: expected at least 4, the classes in the masks of "
+                f"{dataset / 'source' / 'train'}, got 2") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.dife").exists()
+
+    def test_eval_refuses_masks_beyond_num_classes(self, config_file, tmp_path, dataset,
+                                                   capsys):
+        # a 3-class checkpoint loads, so the refusal comes from the masks
+        cfg = load_config(config_file, ["net.num_classes=3"])
+        ck = tmp_path / "three.dife"
+        N.save_checkpoint(ck, N.SegNet(cfg.net_config(), seed=cfg["train.seed"]))
+        assert main(["eval", "--config", str(config_file), "--checkpoint", str(ck),
+                     "--data", str(dataset), "--domain", "target", "--set", "net.num_classes=3",
+                     "--out", str(tmp_path / "e")]) == C.EXIT_CONFIG
+        assert (f"net.num_classes: expected at least 4, the classes in the masks of "
+                f"{dataset / 'target' / 'test'}, got 3") in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_eval_truncated_checkpoint_is_config_error(self, config_file, tmp_path,
                                                        dataset, capsys):
         cfg = load_config(config_file)
@@ -415,6 +436,26 @@ class TestAblate:
             ["dc=full", "dc=no_plus", "dc=no_minus", "dc=none"]
         assert all(0.0 <= float(r["target_miou"]) <= 1.0 for r in rows)
 
+    def test_forked_workers_after_an_eval_write_the_serial_csv(self, config_file, tmp_path,
+                                                               dataset, monkeypatch):
+        # The process pool forks after an evaluate has started the eval
+        # threads; each child must start its own, or its first eval hangs.
+        args = ["ablate", "--config", str(config_file), "--axis", "dcloss",
+                "--set", "train.epochs=1"]
+        monkeypatch.setenv("DIFE_THREADS", "1")
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        script = ("import sys\nimport dife.data as D, dife.net as N, dife.train as TR\n"
+                  "from dife.cli import main\n"
+                  "TR.evaluate(N.SegNet(N.NetConfig()), D.load_dataset(sys.argv[1], 'source', 'val'), 4)\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        env = dict(os.environ, DIFE_THREADS="2", PYTHONPATH=str(Path(C.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(dataset)] + args
+                              + ["--out", str(tmp_path / "forked")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert ((tmp_path / "forked" / "ablation.csv").read_bytes()
+                == (tmp_path / "serial" / "ablation.csv").read_bytes())
+
 
 class TestGradcheck:
     def test_isw_module_passes(self, capsys):
@@ -488,6 +529,29 @@ class TestHeapSettings:
         assert calls == []
         assert ((tmp_path / "a" / "checkpoint.dife").read_bytes()
                 == (tmp_path / "b" / "checkpoint.dife").read_bytes())
+
+    def test_glibc_gets_both_thresholds_and_one_arena(self, monkeypatch):
+        class Mallopt:   # an attribute, like a ctypes function, so argtypes can be set
+            def __init__(self):
+                self.calls = []
+
+            def __call__(self, param, value):
+                self.calls.append((param, value))
+                return 1
+
+        class FakeGlibc:
+            def __init__(self):
+                self.mallopt = Mallopt()
+
+            def gnu_get_libc_version(self):
+                return b"2.36"
+
+        libc = FakeGlibc()
+        monkeypatch.setattr(C.ctypes, "CDLL", lambda name: libc)
+        C.pin_heap()
+        # M_TRIM_THRESHOLD 128 MiB, M_MMAP_THRESHOLD 32 MiB, M_ARENA_MAX 1
+        assert libc.mallopt.calls == [(-1, 128 << 20), (-3, 32 << 20), (-8, 1)]
+        assert libc.mallopt.argtypes == (C.ctypes.c_int, C.ctypes.c_int)
 
 
 class TestParser:

@@ -391,6 +391,14 @@ class TestOther:
         assert out.shape == (1, 2, 6, 6)
         assert np.allclose(out.data, 1.5)
 
+    @pytest.mark.parametrize("size", [1, 3, 12])
+    def test_bilinear_matrix_is_cached_read_only(self, size):
+        m = T._bilinear_matrix(size)
+        assert T._bilinear_matrix(size) is m
+        np.testing.assert_array_equal(m, T._bilinear_matrix.__wrapped__(size))
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+
     def test_broadcast_rejected_beyond_channel_panels(self):
         a = T.zeros((2, 3, 4, 4))
         b = T.zeros((2, 3, 1, 4))

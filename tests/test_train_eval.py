@@ -1,6 +1,8 @@
 """Training loop, LR schedule, optimizer, metrics, and paired t-test."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import dife.data as D
 import dife.isw as W
 import dife.net as N
+import dife.tensor as T
 import dife.train as TR
 from dife.metrics import (ConfusionCounts, compute_report,
                           confusion_from_masks)
@@ -318,3 +321,99 @@ class TestTrainLoop:
         rev = evaluate(net, list(reversed(train_set)), 4)
         assert fwd.miou == rev.miou
         assert fwd.pixel_accuracy == rev.pixel_accuracy
+
+
+def serial_counts(net, samples, num_classes):
+    """The serial loop evaluate replaced: EVAL_BATCH images per forward on
+    this thread, counted image by image."""
+    total = ConfusionCounts(num_classes)
+    for lo in range(0, len(samples), TR.EVAL_BATCH):
+        batch = samples[lo : lo + TR.EVAL_BATCH]
+        logits = net.forward(Tensor(np.stack([s.image for s in batch])))
+        for pred, sample in zip(np.argmax(logits.data, axis=1), batch):
+            total.add(confusion_from_masks(pred, sample.mask, num_classes))
+    return total
+
+
+class TestThreadedEvaluate:
+    @pytest.fixture(scope="class")
+    def images(self):
+        return D.generate_domain(17, "target", 5, (32, 32))
+
+    @pytest.fixture()
+    def cores(self, monkeypatch):
+        """Set the core count evaluate sees; returns the sizes of the pieces it runs."""
+        sizes = []
+        piece_counts = TR._piece_counts
+
+        def spy(net, samples, num_classes, err):
+            sizes.append(len(samples))
+            return piece_counts(net, samples, num_classes, err)
+
+        monkeypatch.setattr(TR, "_piece_counts", spy)
+
+        def set_cores(n):
+            monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(n)))
+            return sizes
+        return set_cores
+
+    @pytest.mark.parametrize("n,ncores,expect", [
+        (9, 2, [4, 4, 1]), (10, 2, [4, 4, 2]), (11, 2, [4, 4, 3]), (14, 2, [4, 4, 3, 3]),
+        (13, 2, [4, 4, 2, 3]), (13, 4, [2, 2, 2, 2, 2, 3]),
+        (17, 4, [2, 2, 2, 2, 2, 2, 2, 2, 1]), (16, 1, [8, 8]),
+        # a set of one batch is not split
+        (8, 2, [8]), (6, 2, [6]), (1, 2, [1]),
+    ])
+    def test_pieces_hold_two_images_and_split_evenly(self, images, cores, n, ncores, expect):
+        sizes = cores(ncores)
+        evaluate(SegNet(NetConfig(), seed=0), images[:n], 4)
+        assert sorted(sizes) == sorted(expect)
+
+    @pytest.mark.parametrize("snr", [frozenset(), frozenset({2, 3})], ids=["plain", "snr"])
+    @pytest.mark.parametrize("ncores", [2, 4])
+    def test_counts_equal_the_serial_reference(self, images, cores, monkeypatch, snr, ncores):
+        cores(ncores)
+        monkeypatch.setattr(TR, "compute_report", lambda counts: counts)
+        net = SegNet(NetConfig(snr_stages=snr), seed=2)
+        for n in (1, 2, 3, 5, 6, 9, 13, 16, 17):
+            got, want = evaluate(net, images[:n], 4), serial_counts(net, images[:n], 4)
+            for name in ("tp", "fp", "fn", "tn"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_more_threads_than_cores_with_fast_switching(self, images, cores, monkeypatch):
+        # 8 threads, a GIL switch every microsecond and a cold bilinear
+        # cache: a race on shared state would change the counts
+        cores(8)
+        monkeypatch.setattr(TR, "_POOL", None)
+        monkeypatch.setattr(TR, "compute_report", lambda counts: counts)
+        net = SegNet(NetConfig(), seed=3)
+        samples = images * 2
+        want = serial_counts(net, samples, 4)
+        T._bilinear_matrix.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = evaluate(net, samples, 4)
+        finally:
+            sys.setswitchinterval(interval)
+            TR._POOL.shutdown()
+        for name in ("tp", "fp", "fn", "tn"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_refused_under_an_active_tape(self, images):
+        # the tape is a module global: the pool's threads would record on it
+        net = SegNet(NetConfig(), seed=0)
+        with Tape() as tape:
+            with pytest.raises(ContractError, match="tape is active"):
+                evaluate(net, images[:4], 4)
+            assert tape.nodes == []
+
+    def test_callers_errstate_governs_the_pieces(self, images):
+        net = SegNet(NetConfig(), seed=0)
+        w = net.stages[0]["conv_a"][0].tensor
+        w.data = w.data * 1e200    # the SNR stage's variance overflows
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evaluate(net, images[:8], 4)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate(net, images[:8], 4)
