@@ -1,6 +1,7 @@
 """Command-line front end: generate / train / eval / ablate / gradcheck.
 
-Exit codes: 0 success, 2 configuration or data error, 3 numerical failure.
+Exit codes: 0 success, 1 a failing gradcheck row, 2 configuration or data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .metrics import write_metrics_csv, write_summary_csv
 from .tensor import ContractError
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
@@ -72,12 +74,16 @@ def _prepare_run(args):
 
 
 def _load_split(root, domain, split, num_classes):
-    """D.load_dataset, refusing masks that hold a class the net has no output for."""
+    """D.load_dataset, refusing an empty split and masks that hold a class the
+    net has no output for."""
+    where = os.path.join(root, domain, split)
     samples = D.load_dataset(root, domain, split)
-    top = max((int(s.mask.max()) for s in samples), default=-1)
+    if not samples:
+        raise ConfigError(f"no samples under {where}")
+    top = max(int(s.mask.max()) for s in samples)
     if top >= num_classes:
         raise ConfigError(f"net.num_classes: expected at least {top + 1}, the classes in the "
-                          f"masks of {os.path.join(root, domain, split)}, got {num_classes}")
+                          f"masks of {where}, got {num_classes}")
     return samples
 
 
@@ -102,8 +108,6 @@ def cmd_eval(args):
     net = N.SegNet(ncfg, seed=cfg.train_config().seed)
     N.load_checkpoint(args.checkpoint, net)
     samples = _load_split(args.data, args.domain, args.split, ncfg.num_classes)
-    if not samples:
-        raise ConfigError(f"no samples under {args.data}/{args.domain}/{args.split}")
     report = TR.evaluate(net, samples, ncfg.num_classes)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report, D.CLASS_NAMES)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), [{
@@ -124,9 +128,9 @@ def run_cell(payload):
     tcfg = cfg.train_config()
     train_set = _load_split(data_root, "source", "train", ncfg.num_classes)
     val_set = _load_split(data_root, "source", "val", ncfg.num_classes)
+    target_test = _load_split(data_root, "target", "test", ncfg.num_classes)
     net = N.SegNet(ncfg, seed=tcfg.seed)
     best, _, _ = TR.train(net, tcfg, train_set, val_set)
-    target_test = _load_split(data_root, "target", "test", ncfg.num_classes)
     target_rep = TR.evaluate(net, target_test, ncfg.num_classes)
     return {"val_miou": best["miou"], "target_miou": target_rep.miou}
 
@@ -186,7 +190,7 @@ def cmd_gradcheck(args):
     if not ok:
         failed = [f"{r['module']}.{r['op']}" for r in rows if not r["passed"]]
         print(f"FAILED: {', '.join(failed)}")
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def pin_heap():
@@ -207,7 +211,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="dife",
         description="Style-restitution + selective-whitening segmentation testbed. "
-                    "Exit codes: 0 ok, 2 config/data error, 3 numerical failure.",
+                    "Exit codes: 0 ok, 1 failing gradcheck row, 2 config/data error, "
+                    "3 numerical failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

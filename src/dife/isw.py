@@ -158,19 +158,27 @@ def isw_loss(theta_x, theta_tx, mask):
     """Mean |theta| over masked positions, averaged over views and batch.
 
     theta_x / theta_tx are differentiable (N, 1, C, C) tensors; the mask is
-    a frozen boolean (C, C) array.  Empty mask contributes exactly 0.
+    a frozen boolean (C, C) array.  Empty mask contributes exactly 0.  One
+    tape node: with s = 1 / (2 N nnz) the loss is s * sum(|theta| * mask)
+    over both views, and each view's gradient is sign(theta) * mask * g s,
+    exact since both factors are 0 or +-1.
     """
     mask = np.asarray(mask, dtype=bool)
+    if theta_x.shape != theta_tx.shape or theta_x.shape[1:] != (1, *mask.shape):
+        raise T.ShapeError(f"isw_loss: views {theta_x.shape} {theta_tx.shape}, mask {mask.shape}")
     nnz = int(mask.sum())
     if nnz == 0:
         return T.scalar(0.0)
-    n = theta_x.shape[0]
-    mconst = Tensor(np.broadcast_to(mask.astype(np.float64), theta_x.shape).copy())
-    total = T.add(
-        T.sum_all(T.mul(T.absolute(theta_x), mconst)),
-        T.sum_all(T.mul(T.absolute(theta_tx), mconst)),
-    )
-    return T.scale(total, 1.0 / (2 * n * nnz))
+    m = mask.astype(np.float64)
+    s = 1.0 / (2 * theta_x.shape[0] * nnz)
+    tx, ttx = theta_x.data, theta_tx.data
+    total = (np.abs(tx) * m).sum() + (np.abs(ttx) * m).sum()
+
+    def bwd(g):
+        gm = m * (g * s)
+        return (np.sign(tx) * gm, np.sign(ttx) * gm)
+
+    return T._maybe_record(Tensor((total * s).reshape(1, 1, 1, 1)), (theta_x, theta_tx), bwd)
 
 
 class CovarianceStats:

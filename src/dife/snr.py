@@ -98,23 +98,52 @@ def restitution_split(residual, alpha):
     return r_plus, T.sub(residual, r_plus)
 
 
+def _entropy(x):
+    """Per-pixel Shannon entropy of the channel softmax of the array x,
+    (N, 1, H, W), and its derivative by each logit, -p (log p + entropy)."""
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    logp = np.log(np.maximum(p, 1e-300))
+    ent = -(p * logp).sum(axis=1, keepdims=True)
+    return ent, -p * (logp + ent)
+
+
+def _entropy_margin(hi, lo):
+    """Batch mean of softplus(spatial mean of H(hi) - H(lo)), one tape node.
+
+    hi and lo are (map, entropy, d entropy / d map) triples.  With gap the
+    per-sample mean and g the output gradient, each map's gradient is
+    t * d entropy / d map, t = g / N * sigmoid(gap) / HW, negated for lo.
+    """
+    (f_hi, e_hi, d_hi), (f_lo, e_lo, d_lo) = hi, lo
+    n, _, h, w = f_hi.shape
+    gap = (e_hi - e_lo).mean(axis=(2, 3), keepdims=True)
+
+    def bwd(g):
+        t = g / n * (1.0 / (1.0 + np.exp(-gap))) / (h * w)
+        return (t * d_hi, -t * d_lo)
+
+    out = Tensor(np.logaddexp(0.0, gap).mean(axis=0, keepdims=True))
+    return T._maybe_record(out, (f_hi, f_lo), bwd)
+
+
 def dual_causality_terms(f_norm, f_plus, f_minus):
     """Entropy-separation losses (L+, L-) between enhanced and corrupted features.
 
     Per sample: spatial mean of entropy differences, softplus-wrapped; L+
     pushes the enhanced branch below the normalized features' entropy, L-
     pushes the corrupted branch above it.  Batch dimension averaged last.
+    Each map's entropy is computed once; each term is one tape node.
     """
     if not (f_norm.shape == f_plus.shape == f_minus.shape):
         raise ShapeError(
             f"dual_causality_terms: shapes differ {f_norm.shape} {f_plus.shape} {f_minus.shape}"
         )
-    e_norm = T.pixel_entropy_map(f_norm)
-    gap_plus = T.global_avg_pool(T.sub(T.pixel_entropy_map(f_plus), e_norm))
-    l_plus = T.batch_mean(T.softplus(gap_plus))
-    gap_minus = T.global_avg_pool(T.sub(e_norm, T.pixel_entropy_map(f_minus)))
-    l_minus = T.batch_mean(T.softplus(gap_minus))
-    return l_plus, l_minus
+    if f_norm.shape[1] < 2:
+        raise ShapeError(f"dual_causality_terms: needs C >= 2, got C={f_norm.shape[1]}")
+    norm, plus, minus = ((f, *_entropy(f.data)) for f in (f_norm, f_plus, f_minus))
+    return _entropy_margin(plus, norm), _entropy_margin(norm, minus)
 
 
 def snr_forward(f, att, eps=IN_EPS):

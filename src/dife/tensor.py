@@ -28,13 +28,9 @@ __all__ = [
     "scale",
     "relu",
     "sigmoid",
-    "absolute",
-    "softplus",
     "conv2d",
     "global_avg_pool",
     "fully_connected",
-    "pixel_entropy_map",
-    "batch_mean",
     "sum_all",
     "mean_all",
     "upsample_bilinear2x",
@@ -221,7 +217,7 @@ class Tape:
                 continue
             parent_grads = fn(g)
             for pid, pg in zip(node.parents, parent_grads):
-                if pg is None:
+                if pid is None or pg is None:   # untracked input, or no gradient
                     continue
                 # Out of place: a stored gradient may be another node's array.
                 if self.grads[pid] is None:
@@ -253,19 +249,15 @@ def scalar(x, requires_grad=False):
 
 
 def _maybe_record(out, inputs, backward_fn):
+    """Record out if a tape is active and any input is tracked.  backward_fn
+    returns one gradient (or None) per input; an untracked input's parent id
+    is None, and backward drops its gradient."""
     tape = _ACTIVE_TAPE
     if tape is None:
         return out
     pids = [tape._leaf(t) for t in inputs]
-    if all(p is None for p in pids):
-        return out
-    live = [(i, p) for i, p in enumerate(pids) if p is not None]
-
-    def bwd(g, _live=live, _fn=backward_fn):
-        full = _fn(g)
-        return [full[i] for i, _ in _live]
-
-    tape._emit(out, [p for _, p in live], bwd)
+    if any(p is not None for p in pids):
+        tape._emit(out, pids, backward_fn)
     return out
 
 
@@ -328,19 +320,6 @@ def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(y)
     return _maybe_record(out, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def absolute(a):
-    out = Tensor(np.abs(a.data))
-    sgn = np.sign(a.data)
-    return _maybe_record(out, (a,), lambda g: (g * sgn,))
-
-
-def softplus(a):
-    """Elementwise ln(1 + e^x), overflow-safe for large x."""
-    out = Tensor(np.logaddexp(0.0, a.data))
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _maybe_record(out, (a,), lambda g: (g * sig,))
 
 
 def _lower(xd, kh, kw, stride, pad):
@@ -481,30 +460,6 @@ def fully_connected(x, w, b):
         return (dx, dw, db)
 
     return _maybe_record(out, (x, w, b), bwd)
-
-
-def pixel_entropy_map(x):
-    """Per-pixel Shannon entropy of the channel softmax, output (N,1,H,W)."""
-    if x.shape[1] < 2:
-        raise ShapeError(f"pixel_entropy_map: needs C >= 2, got C={x.shape[1]}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    logp = np.log(np.maximum(p, 1e-300))
-    ent = -(p * logp).sum(axis=1, keepdims=True)
-    out = Tensor(ent)
-
-    def bwd(g):
-        # d ent / d logit_c = -p_c (log p_c + ent)
-        return (g * (-p * (logp + ent)),)
-
-    return _maybe_record(out, (x,), bwd)
-
-
-def batch_mean(x):
-    n = x.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
-    return _maybe_record(out, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
 
 
 def sum_all(x):

@@ -23,11 +23,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def tape_forward_backward(op, x, g):
-    """(op(x), d sum(op(x) * g) / dx, tape nodes op recorded) for a tracked x."""
+    """(op(x), d sum(op(x) * g) / dx, tape nodes op recorded) for a tracked x.
+
+    A tuple x is several tracked inputs, and gives a tuple of gradients; an op
+    that returns a tuple of tensors weights each by its entry of a tuple g.
+    """
+    xs = x if isinstance(x, tuple) else (x,)
     with Tape() as tape:
-        xt = T.scale(Tensor(x, requires_grad=True), 1.0)
+        ts = [T.scale(Tensor(a, requires_grad=True), 1.0) for a in xs]
         before = len(tape.nodes)
-        y = op(xt)
+        y = op(*ts)
         nodes = len(tape.nodes) - before
-        tape.backward(T.sum_all(T.mul(y, Tensor(g))))
-        return y.data, tape.grad(xt), nodes
+        ys, gs = (y, g) if isinstance(y, tuple) else ((y,), (g,))
+        root = T.sum_all(T.mul(ys[0], Tensor(gs[0])))
+        for yi, gi in zip(ys[1:], gs[1:]):
+            root = T.add(root, T.sum_all(T.mul(yi, Tensor(gi))))
+        tape.backward(root)
+        grads = tuple(tape.grad(t) for t in ts)
+    data = tuple(yi.data for yi in ys)
+    return (data if isinstance(y, tuple) else data[0],
+            grads if isinstance(x, tuple) else grads[0], nodes)

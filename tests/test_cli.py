@@ -25,6 +25,15 @@ from dife.cli import main
 from dife.config import RUN_KEYS, SECTIONS, ConfigError, format_config, load_config, parse_value
 
 
+def empty_target_test(dataset, tmp_path):
+    """A copy of the dataset whose target/test split holds no files."""
+    root = tmp_path / "data_empty_test"
+    shutil.copytree(dataset, root)
+    for item in (root / "target" / "test").iterdir():
+        item.unlink()
+    return root
+
+
 def tree_hash(root):
     digest = hashlib.sha256()
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
@@ -333,6 +342,17 @@ class TestTrainEvalCommands:
                 f"{dataset / 'target' / 'test'}, got 3") in capsys.readouterr().err
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
+    def test_eval_empty_split_is_config_error(self, config_file, tmp_path, dataset, capsys):
+        root = empty_target_test(dataset, tmp_path)
+        cfg = load_config(config_file)
+        ck = tmp_path / "net.dife"
+        N.save_checkpoint(ck, N.SegNet(cfg.net_config(), seed=cfg["train.seed"]))
+        assert main(["eval", "--config", str(config_file), "--checkpoint", str(ck),
+                     "--data", str(root), "--domain", "target",
+                     "--out", str(tmp_path / "e")]) == C.EXIT_CONFIG
+        assert f"no samples under {root / 'target' / 'test'}" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_eval_truncated_checkpoint_is_config_error(self, config_file, tmp_path,
                                                        dataset, capsys):
         cfg = load_config(config_file)
@@ -425,6 +445,14 @@ class TestAblate:
         monkeypatch.setenv("DIFE_THREADS", "abc")
         assert main(["ablate", "--config", str(config_file), "--axis", "k"]) == C.EXIT_CONFIG
         assert "DIFE_THREADS" in capsys.readouterr().err
+
+    def test_empty_target_split_is_config_error(self, config_file, tmp_path, dataset, capsys):
+        root = empty_target_test(dataset, tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["ablate", "--config", str(config_file), "--axis", "dcloss",
+                     "--set", f"data.root={root}", "--out", str(out)]) == C.EXIT_CONFIG
+        assert f"no samples under {root / 'target' / 'test'}" in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
 
     def test_dcloss_sweep_writes_four_rows(self, config_file, tmp_path):
         out = tmp_path / "sweep"

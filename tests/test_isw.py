@@ -354,6 +354,44 @@ class TestIswLoss:
         assert history[-1] < history[10]
 
 
+def composed_isw_loss(theta_x, theta_tx, mask):
+    """The eight-node composition isw_loss replaced: the reference for its
+    forward (same expressions, so bit for bit) and its backward."""
+    def absolute(a):
+        sgn = np.sign(a.data)
+        return T._maybe_record(Tensor(np.abs(a.data)), (a,), lambda g: (g * sgn,))
+
+    nnz = int(mask.sum())
+    mconst = Tensor(np.broadcast_to(mask.astype(np.float64), theta_x.shape).copy())
+    total = T.add(T.sum_all(T.mul(absolute(theta_x), mconst)),
+                  T.sum_all(T.mul(absolute(theta_tx), mconst)))
+    return T.scale(total, 1.0 / (2 * theta_x.shape[0] * nnz))
+
+
+class TestFusedIswLoss:
+    @pytest.mark.parametrize("n, c", [(1, 2), (2, 4), (4, 8), (4, 32)])
+    def test_matches_composed_reference(self, n, c):
+        rng = np.random.default_rng(n * c)
+        views = tuple(rng.normal(size=(n, 1, c, c)) for _ in range(2))
+        views[1][0, 0, 0, 1] = 0.0     # sign(0) = 0: no gradient through a zero entry
+        mask = rng.uniform(size=(c, c)) < 0.5
+        mask[0, 1] = True
+        g = rng.normal(size=(1, 1, 1, 1))
+        y, dx, nodes = tape_forward_backward(lambda a, b: W.isw_loss(a, b, mask), views, g)
+        ref_y, ref_dx, ref_nodes = tape_forward_backward(
+            lambda a, b: composed_isw_loss(a, b, mask), views, g)
+        assert np.array_equal(y, ref_y)
+        assert all(np.array_equal(d, ref) for d, ref in zip(dx, ref_dx))
+        assert (nodes, ref_nodes) == (1, 8)
+
+    def test_mismatched_shapes_rejected(self):
+        theta = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(T.ShapeError):
+            W.isw_loss(theta, Tensor(np.zeros((2, 1, 3, 3))), np.ones((3, 3), dtype=bool))
+        with pytest.raises(T.ShapeError):
+            W.isw_loss(theta, theta, np.ones((2, 2), dtype=bool))
+
+
 class TestWarmup:
     def test_constant_stream(self):
         stats = W.CovarianceStats(3, 2)

@@ -268,6 +268,24 @@ class TestStepMemory:
         assert peak < self.BOUND_MIB
 
 
+class TestTapeSize:
+    # One post-freeze step of the default config: 139 nodes.  The ISW loss
+    # and the two dual-causality terms are one node each per stage; as
+    # compositions of primitives they took 178.
+    NODES = 139
+
+    def test_post_freeze_default_step_node_count(self):
+        rng = np.random.default_rng(0)
+        net = make_net()
+        stats = frozen_stats(net, rng)
+        assert all(st.mask.any() for st in stats.values())
+        x, m = rand_batch(rng, n=2)
+        with Tape() as tape:
+            rec = forward_pair(Tensor(x), Tensor(np.clip(x + 0.05, 0, 1)), net)
+            total_loss(rec, m, net.cfg, stats)
+            assert len(tape.nodes) == self.NODES
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         net = make_net(seed=11)

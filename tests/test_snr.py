@@ -160,46 +160,62 @@ class TestRestitutionSplit:
         assert rm.item() == pytest.approx(3.0)
 
 
+def entropy(logits):
+    """Per-pixel softmax entropy of an array, through the loss's own helper."""
+    return S._entropy(np.asarray(logits, dtype=np.float64))[0]
+
+
 class TestPixelEntropy:
     def test_uniform_logits(self):
-        e = T.pixel_entropy_map(T.zeros((1, 4, 2, 2)))
-        assert np.allclose(e.data, np.log(4.0), atol=1e-12)
+        assert np.allclose(entropy(np.zeros((1, 4, 2, 2))), np.log(4.0), atol=1e-12)
 
     def test_peaked_logits(self):
-        f = T.zeros((1, 3, 1, 1))
-        f.data[0, 0] = 50.0
-        assert T.pixel_entropy_map(f).item() < 1e-10
+        f = np.zeros((1, 3, 1, 1))
+        f[0, 0] = 50.0
+        assert entropy(f).item() < 1e-10
 
     def test_two_logit_case(self):
-        f = feat(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-        assert T.pixel_entropy_map(f).item() == pytest.approx(0.58220, abs=1e-5)
+        assert entropy(np.array([1.0, 2.0]).reshape(1, 2, 1, 1)).item() == \
+            pytest.approx(0.58220, abs=1e-5)
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             c = rng.integers(2, 6)
-            f = Tensor(rng.uniform(-20, 20, (1, int(c), 3, 3)))
-            e = T.pixel_entropy_map(f).data
+            e = entropy(rng.uniform(-20, 20, (1, int(c), 3, 3)))
             assert np.all(e >= 0.0) and np.all(e <= np.log(c) + 1e-12)
 
     def test_single_channel_rejected(self):
-        with pytest.raises(T.ShapeError):
-            T.pixel_entropy_map(T.zeros((1, 1, 2, 2)))
+        one = T.zeros((1, 1, 2, 2))
+        with pytest.raises(T.ShapeError, match="C >= 2"):
+            S.dual_causality_terms(one, one, one)
+
+
+def margin(gap):
+    """The margin term for a given per-sample entropy gap."""
+    f = T.zeros((1, 1, 1, 1))
+    hi = (f, np.full((1, 1, 1, 1), float(gap)), np.zeros((1, 1, 1, 1)))
+    lo = (f, np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
+    return S._entropy_margin(hi, lo).item()
 
 
 class TestMarginLoss:
     def test_at_zero(self):
-        assert T.softplus(T.scalar(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-15)
+        assert margin(0.0) == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_large_negative(self):
-        assert T.softplus(T.scalar(-100.0)).item() < 1e-40
+        assert margin(-100.0) < 1e-40
 
     def test_at_one(self):
-        assert T.softplus(T.scalar(1.0)).item() == pytest.approx(np.log(1 + np.e), abs=1e-12)
+        assert margin(1.0) == pytest.approx(np.log(1 + np.e), abs=1e-12)
 
     def test_large_positive_overflow_safe(self):
-        out = T.softplus(T.scalar(1000.0)).item()
+        out = margin(1000.0)
         assert np.isfinite(out) and out == pytest.approx(1000.0, abs=1e-9)
+
+    def test_large_negative_gap_finite(self):
+        out = margin(-1000.0)
+        assert np.isfinite(out) and 0.0 <= out < 1e-300
 
 
 class TestDualCausalityLoss:
@@ -248,6 +264,58 @@ class TestDualCausalityLoss:
         with pytest.raises(T.ShapeError):
             S.dual_causality_terms(T.zeros((1, 4, 2, 2)), T.zeros((1, 4, 2, 2)),
                                    T.zeros((1, 4, 2, 3)))
+
+
+def composed_dual_causality_terms(f_norm, f_plus, f_minus):
+    """The eleven-node composition dual_causality_terms replaced: the reference
+    for its forward (same expressions, so bit for bit) and its backward."""
+    def entropy_map(x):
+        z = x.data - x.data.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        logp = np.log(np.maximum(p, 1e-300))
+        ent = -(p * logp).sum(axis=1, keepdims=True)
+        return T._maybe_record(Tensor(ent), (x,), lambda g: (g * (-p * (logp + ent)),))
+
+    def softplus(a):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+        return T._maybe_record(Tensor(np.logaddexp(0.0, a.data)), (a,), lambda g: (g * sig,))
+
+    def batch_mean(x):
+        n = x.shape[0]
+        return T._maybe_record(Tensor(x.data.mean(axis=0, keepdims=True)), (x,),
+                               lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
+
+    e_norm = entropy_map(f_norm)
+    l_plus = batch_mean(softplus(T.global_avg_pool(T.sub(entropy_map(f_plus), e_norm))))
+    l_minus = batch_mean(softplus(T.global_avg_pool(T.sub(e_norm, entropy_map(f_minus)))))
+    return l_plus, l_minus
+
+
+class TestFusedDualCausality:
+    @pytest.mark.parametrize("shape", [(1, 4, 2, 2), (4, 16, 24, 24), (4, 32, 12, 12), (3, 2, 1, 5)])
+    def test_matches_composed_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        maps = tuple(rng.normal(0.0, 2.0, shape) for _ in range(3))
+        g = tuple(rng.normal(size=(1, 1, 1, 1)) for _ in range(2))
+        y, dx, nodes = tape_forward_backward(S.dual_causality_terms, maps, g)
+        ref_y, ref_dx, ref_nodes = tape_forward_backward(composed_dual_causality_terms, maps, g)
+        assert all(np.array_equal(a, b) for a, b in zip(y, ref_y))
+        for d, ref in zip(dx, ref_dx):
+            assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert (nodes, ref_nodes) == (2, 11)
+
+    def test_untracked_inputs_are_skipped(self):
+        rng = np.random.default_rng(4)
+        f_norm, f_minus = (Tensor(rng.normal(size=(2, 3, 2, 2))) for _ in range(2))
+        f_plus = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        with Tape() as tape:
+            l_plus, l_minus = S.dual_causality_terms(f_norm, f_plus, f_minus)
+            assert l_minus.node_id is None and len(tape.nodes) == 2   # leaf + L+
+            assert tape.nodes[1].parents == (0, None)
+            tape.backward(l_plus)
+            assert np.abs(tape.grad(f_plus)).max() > 0.0
+            assert not tape.grad(f_norm).any()
 
 
 class TestSnrForward:

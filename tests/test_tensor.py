@@ -414,16 +414,27 @@ def test_every_primitive_matches_finite_differences():
     assert not bad, f"ops over tolerance: {bad}"
 
 
-# constructors and the oracle itself: no backward to check
-NOT_DIFFERENTIABLE = {"zeros", "ones", "scalar", "finite_difference_gradient"}
+# constructors, the oracle itself and the array-only ISW statistics: no backward to check
+NOT_DIFFERENTIABLE = {"zeros", "ones", "scalar", "finite_difference_gradient",
+                      "covariance_variance", "kmeans_1d", "build_mask", "update_warmup"}
+# suite rows named for the loss rather than the op
+ROW_PREFIX = {"dual_causality_terms": "dc"}
 
 
 def test_every_differentiable_op_has_an_oracle_row():
+    import importlib
+
     from dife import gradcheck as G
 
-    rows = G.suite_tensor(seeds=range(1))
-    # mean_all is check_op's own reducer, so every row exercises it
-    ops = [name for name in T.__all__ if name[0].islower()
-           and name not in NOT_DIFFERENTIABLE and name != "mean_all"]
-    missing = [op for op in ops if not any(r == op or r.startswith(op + "_") for r in rows)]
-    assert not missing, f"differentiable ops without a suite_tensor row: {missing}"
+    missing = []
+    for module in ("tensor", "snr", "isw"):
+        mod = importlib.import_module(f"dife.{module}")
+        rows = getattr(G, f"suite_{module}")(seeds=range(1))
+        # mean_all is check_op's own reducer, so every row exercises it
+        ops = [name for name in mod.__all__ if name[0].islower()
+               and name not in NOT_DIFFERENTIABLE and name != "mean_all"]
+        for op in ops:
+            row = ROW_PREFIX.get(op, op)
+            if not any(r == row or r.startswith(row + "_") for r in rows):
+                missing.append(f"{module}.{op}")
+    assert not missing, f"differentiable ops without an oracle row: {missing}"
