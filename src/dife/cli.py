@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +52,8 @@ def _parse_size(text):
 
 
 def cmd_generate(args):
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.count < 3:   # one sample each for train, val and test
+        raise ConfigError(f"--count must be >= 3, got {args.count}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
@@ -120,6 +121,22 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def run_jobs(fn, jobs):
+    """[fn(job) for job in jobs] on spawned workers, one per core and at most one
+    per job.  Each runs pin_heap and one BLAS thread (numpy reads the variable set
+    here as a worker imports it; it is restored after).  fn and jobs must pickle."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(jobs)), initializer=pin_heap,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if saved is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 def run_cell(payload):
     """One seeded ablation run; executed in a worker process."""
     config_path, overrides, data_root = payload
@@ -139,8 +156,8 @@ def _ablation_cells(axis):
     if axis == "k":
         return [(f"k={k}", [f"net.k={k}"]) for k in K_SWEEP]
     if axis == "dcloss":
-        return [(f"dc={mode}", [f"net.dc_mode={mode}"] + (["net.lambda2=0"] if mode == "none" else []))
-                for mode in N.DC_MODES]
+        return [(f"dc={mode}", [f"net.dc_mode={mode}"]) for mode in N.DC_MODES] \
+            + [("dc=none", ["net.lambda2=0"])]
     if axis == "lambda":
         return [(f"l1={l1},l2={l2}", [f"net.lambda1={l1}", f"net.lambda2={l2}"])
                 for l1, l2 in LAMBDA_SWEEP]
@@ -157,19 +174,9 @@ def _ablation_cells(axis):
 def cmd_ablate(args):
     cfg, out_dir = _prepare_run(args)
     cells = _ablation_cells(args.axis)
-    base_overrides = list(args.set or [])
-    payloads = [(args.config, base_overrides + overrides, cfg["data.root"])
+    payloads = [(args.config, (args.set or []) + overrides, cfg["data.root"])
                 for _, overrides in cells]
-    threads = os.environ.get("DIFE_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ConfigError(f"DIFE_THREADS must be an integer, got {threads!r}") from None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, payloads))
-    else:
-        outcomes = [run_cell(p) for p in payloads]
+    outcomes = run_jobs(run_cell, payloads)
     path = os.path.join(out_dir, "ablation.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -115,7 +115,9 @@ def suite_snr(seeds=range(20)):
             out = S.snr_forward(f, att)
             return T.add(*S.dual_causality_terms(out.f_norm, out.f_plus, out.f_minus))
 
+        drawn = att.fc1_w.tensor
         record("dc_attention_w", check_op(block_loss, [Tensor(att.fc1_w.data.copy())]))
+        att.fc1_w.tensor = drawn   # the rows below run on the drawn weights, not the last probe
         record("snr_forward",
                check_op(lambda x: T.sum_all(T.mul(S.snr_forward(x, att).f_plus,
                                                   S.snr_forward(x, att).f_minus)), [f]))

@@ -35,7 +35,7 @@ __all__ = [
 CHECKPOINT_MAGIC = b"DIFE"
 CHECKPOINT_VERSION = 1
 
-DC_MODES = ("full", "no_plus", "no_minus", "none")
+DC_MODES = ("full", "no_plus", "no_minus")
 
 
 @dataclass
@@ -193,7 +193,7 @@ def total_loss(record, mask, cfg, stats_by_stage=None):
     """
     loss = task_loss(record.logits, mask)
     breakdown = {"task": loss.item()}
-    if cfg.lambda2 > 0 and cfg.dc_mode != "none":
+    if cfg.lambda2 > 0:
         for s, out in sorted(record.snr_outputs.items()):
             lp, lm = S.dual_causality_terms(out.f_norm, out.f_plus, out.f_minus)
             if cfg.dc_mode == "full":

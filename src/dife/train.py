@@ -32,15 +32,6 @@ EVAL_BATCH = 8   # images per batch in evaluate, split across the eval threads
 _POOL = None     # evaluate's threads, started on first use
 
 
-def _drop_pool():
-    """A forked child (`dife ablate`) inherits the pool but none of its threads."""
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
-
 class NumericalError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 

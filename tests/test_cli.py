@@ -1,9 +1,12 @@
 """Command-line front end: generate, train, eval, ablate, gradcheck."""
 
 import csv
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 import dife.cli as C
+import dife.data as D
 import dife.gradcheck as G
 import dife.isw as W
 import dife.net as N
@@ -32,6 +36,14 @@ def empty_target_test(dataset, tmp_path):
     for item in (root / "target" / "test").iterdir():
         item.unlink()
     return root
+
+
+def openblas_threads(_):
+    """The thread count of numpy's bundled OpenBLAS in this process, or None
+    when this numpy bundles none that reports it."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+    return get() if get else None
 
 
 def tree_hash(root):
@@ -255,9 +267,12 @@ class TestGenerate:
     @pytest.mark.parametrize("flag,value,named", [
         ("--seed", "-1", "--seed"),
         ("--size", "34x34", "34x34"),   # every train would reject it: not a multiple of 4
+        # one sample gave a val split of -1 samples, two an empty train split
+        ("--count", "1", "--count must be >= 3, got 1"),
+        ("--count", "2", "--count must be >= 3, got 2"),
     ])
     def test_unusable_dataset_refused(self, tmp_path, capsys, flag, value, named):
-        args = {"--count": "2", "--seed": "1", "--size": "32x32"} | {flag: value}
+        args = {"--count": "3", "--seed": "1", "--size": "32x32"} | {flag: value}
         out = tmp_path / "g"
         assert main(["generate", "--out", str(out)] + [a for kv in args.items() for a in kv]) \
             == C.EXIT_CONFIG
@@ -268,7 +283,7 @@ class TestGenerate:
         out = tmp_path / "busy"
         out.mkdir()
         (out / "keep.txt").write_text("x")
-        assert main(["generate", "--out", str(out), "--count", "2",
+        assert main(["generate", "--out", str(out), "--count", "3",
                      "--seed", "1"]) == C.EXIT_CONFIG
 
     def test_manifest_row_count(self, dataset):
@@ -441,11 +456,6 @@ class TestAblate:
         with pytest.raises(ConfigError):
             C._ablation_cells("widths")
 
-    def test_non_integer_threads_is_config_error(self, config_file, monkeypatch, capsys):
-        monkeypatch.setenv("DIFE_THREADS", "abc")
-        assert main(["ablate", "--config", str(config_file), "--axis", "k"]) == C.EXIT_CONFIG
-        assert "DIFE_THREADS" in capsys.readouterr().err
-
     def test_empty_target_split_is_config_error(self, config_file, tmp_path, dataset, capsys):
         root = empty_target_test(dataset, tmp_path)
         out = tmp_path / "sweep"
@@ -464,25 +474,44 @@ class TestAblate:
             ["dc=full", "dc=no_plus", "dc=no_minus", "dc=none"]
         assert all(0.0 <= float(r["target_miou"]) <= 1.0 for r in rows)
 
-    def test_forked_workers_after_an_eval_write_the_serial_csv(self, config_file, tmp_path,
-                                                               dataset, monkeypatch):
-        # The process pool forks after an evaluate has started the eval
-        # threads; each child must start its own, or its first eval hangs.
+    def test_csv_equals_the_in_process_reference(self, config_file, tmp_path, dataset,
+                                                 monkeypatch):
+        # an evaluate in this process first, so its eval threads are running
+        samples = [s for split in ("train", "val", "test")
+                   for s in D.load_dataset(dataset, "source", split)]
+        TR.evaluate(N.SegNet(N.NetConfig()), samples, 4)
+        assert TR._POOL is not None
         args = ["ablate", "--config", str(config_file), "--axis", "dcloss",
                 "--set", "train.epochs=1"]
-        monkeypatch.setenv("DIFE_THREADS", "1")
-        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        script = ("import sys\nimport dife.data as D, dife.net as N, dife.train as TR\n"
-                  "from dife.cli import main\n"
-                  "TR.evaluate(N.SegNet(N.NetConfig()), D.load_dataset(sys.argv[1], 'source', 'val'), 4)\n"
-                  "sys.exit(main(sys.argv[2:]))\n")
-        env = dict(os.environ, DIFE_THREADS="2", PYTHONPATH=str(Path(C.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script, str(dataset)] + args
-                              + ["--out", str(tmp_path / "forked")],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert ((tmp_path / "forked" / "ablation.csv").read_bytes()
-                == (tmp_path / "serial" / "ablation.csv").read_bytes())
+        assert main(args + ["--out", str(tmp_path / "workers")]) == 0
+        assert multiprocessing.active_children() == []
+        with monkeypatch.context() as m:
+            m.setattr(C, "run_jobs", lambda fn, jobs: [fn(job) for job in jobs])
+            assert main(args + ["--out", str(tmp_path / "reference")]) == 0
+        assert ((tmp_path / "workers" / "ablation.csv").read_bytes()
+                == (tmp_path / "reference" / "ablation.csv").read_bytes())
+
+
+class TestRunJobs:
+    def test_results_in_job_order(self):
+        assert C.run_jobs(abs, [-3, 1, -2, 5, -4]) == [3, 1, 2, 5, 4]
+
+    @pytest.mark.parametrize("before", [None, "3"])
+    def test_one_blas_thread_per_worker_and_the_environment_restored(self, monkeypatch,
+                                                                     before):
+        if before is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", before)
+        env = dict(os.environ)
+        assert C.run_jobs(os.getenv, ["OPENBLAS_NUM_THREADS"] * 3) == ["1"] * 3
+        assert dict(os.environ) == env
+
+    def test_each_worker_runs_one_blas_thread(self):
+        # a forked worker would keep this process's pool, two threads or more on two cores
+        if openblas_threads(None) is None:
+            pytest.skip("numpy bundles no OpenBLAS that reports its thread count")
+        assert C.run_jobs(openblas_threads, [0, 1]) == [1, 1]
 
 
 class TestGradcheck:

@@ -366,3 +366,18 @@ class TestSnrForward:
         results = G.suite_snr(seeds=range(3))
         bad = {k: v for k, v in results.items() if v >= G.OP_TOL}
         assert not bad, f"snr gradients over tolerance: {bad}"
+
+    def test_suite_leaves_the_drawn_attention_weights_in_place(self, monkeypatch):
+        from dife import gradcheck as G
+
+        drawn, real = [], S.ChannelAttention
+
+        def spy(*args, **kwargs):
+            att = real(*args, **kwargs)
+            drawn.append((att, att.fc1_w.tensor))
+            return att
+
+        monkeypatch.setattr(S, "ChannelAttention", spy)
+        G.suite_snr(seeds=range(2))
+        assert len(drawn) == 2
+        assert all(att.fc1_w.tensor is tensor for att, tensor in drawn)
