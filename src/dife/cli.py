@@ -269,8 +269,7 @@ def main(argv=None):
     pin_heap()
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, D.FormatError, D.GenerationError,
-            FileNotFoundError) as exc:
+    except (ConfigError, ContractError, D.FormatError, D.GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TR.NumericalError as exc:

@@ -87,15 +87,19 @@ def _build(section, values, **nested):
 def load_config(path=None, overrides=()):
     values = {}
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = stripped.split("=", 1)
-                values[key.strip()] = parse_value(raw)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = stripped.split("=", 1)
+            values[key.strip()] = parse_value(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")

@@ -344,9 +344,9 @@ def load_dataset(root, domain, split):
     for name in sorted(os.listdir(d)):
         if not name.startswith("img_"):
             continue
-        idx = name[4:9]
         img_path = os.path.join(d, name)
-        sample = read_sample(img_path, os.path.join(d, f"msk_{idx}.pgm"), domain=domain)
+        stem = name[4:].removesuffix(".ppm")
+        sample = read_sample(img_path, os.path.join(d, f"msk_{stem}.pgm"), domain=domain)
         size = samples[0].mask.shape if samples else sample.image.shape[1:]
         if sample.image.shape[1:] != size or sample.mask.shape != size:
             raise FormatError(f"{img_path}: image {sample.image.shape[1:]} and mask "

@@ -1,14 +1,16 @@
 """Dense 4-D float64 tensors with a reverse-mode autodiff tape.
 
 Every value in the library lives in an (N, C, H, W) carrier.  Ops are free
-functions that compute eagerly and, when a tape is active and an input is
-tracked, append a node with a backward closure.  The tape is rebuilt for
-every forward pass (define-by-run).
+functions that compute eagerly and, when the calling thread has an open
+tape and an input is tracked, append a node with a backward closure.  The
+tape is rebuilt for every forward pass (define-by-run).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
 
 import numpy as np
 
@@ -54,14 +56,19 @@ class OracleError(RuntimeError):
     """Raised by the finite-difference oracle on unusable inputs."""
 
 
-_ACTIVE_TAPE = None
-_CLOSED_TAPE = None
+class _ThreadState(threading.local):
+    active = None   # the tape open on this thread
+    closed = None   # its last closed tape, whose record the next tape drops
+
+
+_STATE = _ThreadState()
+_SERIALS = itertools.count()   # tape serials; a freed tape's id() can be reused
 
 
 class Tensor:
-    """A dense (N, C, H, W) array of float64 with an optional tape handle."""
+    """A dense (N, C, H, W) array of float64; an op's output carries its node's tag."""
 
-    __slots__ = ("data", "requires_grad", "_tape", "_nid")
+    __slots__ = ("data", "requires_grad", "_tag")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -69,8 +76,7 @@ class Tensor:
             raise ShapeError(f"tensor must be 4-D (N,C,H,W), got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._tape = None
-        self._nid = None
+        self._tag = None
 
     @property
     def shape(self):
@@ -78,10 +84,8 @@ class Tensor:
 
     @property
     def node_id(self):
-        tape = _ACTIVE_TAPE
-        if tape is not None and self._tape is tape:
-            return self._nid
-        return None
+        tape = _STATE.active
+        return None if tape is None else tape._id(self)
 
     def item(self):
         if self.data.size != 1:
@@ -90,9 +94,6 @@ class Tensor:
 
     def has_nonfinite(self):
         return not bool(np.isfinite(self.data).all())
-
-    def detached(self):
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -131,65 +132,60 @@ class Tape:
     result that depends on a requires_grad tensor, and backward() runs
     inside the block, once.  backward() drops each node's closure as it
     passes, so an op's saved forward state is freed as soon as its
-    gradients exist and the record keeps only gradients.  The active tape
-    is a module global, so at most one tape is active per process.  A
-    closed tape still answers grad() until the next tape opens, which drops
-    its record and gradients; the last tape of a run is held until then.
+    gradients exist.  Recording is per thread: a thread has at most one
+    active tape, which records only that thread's ops.  No tensor refers to
+    a tape: an op's output carries its node's tag, and the tape holds each
+    tracked leaf it meets (a requires_grad tensor, such as a Parameter).
 
-    The drop waits for the next tape because memory freed at a step's end
-    lets glibc trim the heap top, and the next allocations fault the pages
-    back in.  On the 48x48 benchmark, dropping each record at its own
-    __exit__ cut train-plain eval_images_per_s by 17 %, and freeing each tape
-    as soon as nothing held it raised setup_s by 25 %.  Even this drop, with
-    a zero-padded frame in _lower, made each train-plain `dife eval` take
-    about 49k minor faults (337 img/s); without the frame it takes about
-    2.3k (419 img/s), and before this drop took 1-22k (369 img/s).  The
-    `dife` command pins glibc's trim and mmap thresholds at start; the
-    deferral remains for library callers, which run with glibc's defaults.
+    A closed tape answers grad() until the next tape opens on its thread,
+    which drops its record.  The drop waits because memory freed at a
+    step's end lets glibc trim the heap top, and the next allocations fault
+    the pages back in: on the 48x48 benchmark, dropping each record at its
+    own __exit__ cut train-plain eval_images_per_s by 17 %, and freeing each
+    tape once nothing held it raised setup_s by 25-38 %.  The `dife` command
+    pins glibc's thresholds; the deferral remains for library callers.
     """
 
     def __init__(self):
+        self.serial = next(_SERIALS)
         self.nodes = []
         self.grads = None
+        self.leaves = {}   # id(leaf) -> (node id, leaf); holding the leaf keeps its id unique
 
     def __enter__(self):
-        global _ACTIVE_TAPE, _CLOSED_TAPE
-        if _ACTIVE_TAPE is not None:
-            raise ContractError("a tape is already active in this process")
-        # Drop the previous step's record and gradients now, not when this
-        # tape closes: they would otherwise stay live through this whole step
-        # (14.6 MiB on a full-method step), since the trainer's locals still
-        # reach the tape.  Clearing both breaks the reference cycle of a tape
-        # that never ran backward (closures hold tensors whose _tape it is).
-        if _CLOSED_TAPE is not None:
-            _CLOSED_TAPE.nodes = _CLOSED_TAPE.grads = None
-            _CLOSED_TAPE = None
-        _ACTIVE_TAPE = self
+        if _STATE.active is not None:
+            raise ContractError("a tape is already active on this thread")
+        # Drop the previous step's record now, not at this tape's close: the
+        # trainer's locals would keep it (14.6 MiB on a full step) all step.
+        closed, _STATE.closed = _STATE.closed, None
+        if closed is not None:
+            closed.nodes = closed.grads = closed.leaves = None
+        _STATE.active = self
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE, _CLOSED_TAPE
-        _ACTIVE_TAPE = None
-        _CLOSED_TAPE = self
+        _STATE.active, _STATE.closed = None, self
         return False
+
+    def _id(self, t):
+        """Node id of tensor t on this tape, or None."""
+        tag = t._tag
+        if tag is not None and tag[0] == self.serial:
+            return tag[1]
+        return self.leaves.get(id(t), (None,))[0]
 
     def _leaf(self, t):
         """Node id for tensor t, creating a leaf node if it is tracked."""
-        if t._tape is self and t._nid is not None:
-            return t._nid
-        if t.requires_grad:
+        nid = self._id(t)
+        if nid is None and t.requires_grad:
             nid = len(self.nodes)
             self.nodes.append(_Node((), None))
-            t._tape = self
-            t._nid = nid
-            return nid
-        return None
+            self.leaves[id(t)] = (nid, t)
+        return nid
 
     def _emit(self, out, parent_ids, backward_fn):
-        nid = len(self.nodes)
+        out._tag = (self.serial, len(self.nodes))
         self.nodes.append(_Node(tuple(parent_ids), backward_fn))
-        out._tape = self
-        out._nid = nid
 
     def backward(self, root):
         """Accumulate d(root)/d(node) for every node reachable from root.
@@ -197,16 +193,17 @@ class Tape:
         Runs once per tape: every node's closure, reached or not, is taken
         off the node before it would run, which frees its saved state.
         """
-        if _ACTIVE_TAPE is not self:
+        if _STATE.active is not self:
             raise ContractError("backward() must run inside the tape's with-block")
         if self.grads is not None:
             raise ContractError("backward() already ran on this tape")
         if root.data.shape != (1, 1, 1, 1):
             raise ContractError(f"backward root must be scalar (1,1,1,1), got {root.shape}")
-        if root._tape is not self or root._nid is None:
+        rid = self._id(root)
+        if rid is None:
             raise ContractError("root is not recorded on this tape")
         self.grads = [None] * len(self.nodes)
-        self.grads[root._nid] = np.ones((1, 1, 1, 1))
+        self.grads[rid] = np.ones((1, 1, 1, 1))
         # Nodes after root get no gradient (parents precede their children),
         # so the walk starts at the last node only to free their closures.
         for nid in range(len(self.nodes) - 1, -1, -1):
@@ -231,8 +228,9 @@ class Tape:
             raise ContractError("this tape's record was dropped when the next tape opened")
         if self.grads is None:
             raise ContractError("backward() has not run on this tape")
-        if t._tape is self and t._nid is not None and self.grads[t._nid] is not None:
-            return self.grads[t._nid]
+        nid = self._id(t)
+        if nid is not None and self.grads[nid] is not None:
+            return self.grads[nid]
         return np.zeros(t.shape)
 
 
@@ -249,10 +247,10 @@ def scalar(x, requires_grad=False):
 
 
 def _maybe_record(out, inputs, backward_fn):
-    """Record out if a tape is active and any input is tracked.  backward_fn
-    returns one gradient (or None) per input; an untracked input's parent id
-    is None, and backward drops its gradient."""
-    tape = _ACTIVE_TAPE
+    """Record out if this thread has an open tape and any input is tracked.
+    backward_fn returns one gradient (or None) per input; an untracked
+    input's parent id is None, and backward drops its gradient."""
+    tape = _STATE.active
     if tape is None:
         return out
     pids = [tape._leaf(t) for t in inputs]

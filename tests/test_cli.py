@@ -46,6 +46,13 @@ def openblas_threads(_):
     return get() if get else None
 
 
+def run_dife(args, **env):
+    """`python -m dife.cli` with args in a fresh process, with env added."""
+    env = dict(os.environ, PYTHONPATH=str(Path(C.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "dife.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
 def tree_hash(root):
     digest = hashlib.sha256()
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
@@ -393,6 +400,33 @@ class TestTrainEvalCommands:
                      "--set", f"data.root={root}"]) == C.EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(img) in err and "width -4 < 1 at byte 3" in err
+
+    @pytest.mark.parametrize("case", ["non-utf8 config", "config is a directory",
+                                      "checkpoint is a directory", "data.root is a file"])
+    def test_unreadable_path_is_config_error(self, config_file, tmp_path, dataset, case):
+        args = ["train", "--config", config_file]
+        if case == "non-utf8 config":
+            config_file.write_bytes(b"# caf\xe9\n" + config_file.read_bytes())
+        elif case == "config is a directory":
+            args[2] = tmp_path
+        elif case == "checkpoint is a directory":
+            args = ["eval", "--config", config_file, "--checkpoint", tmp_path,
+                    "--data", dataset, "--domain", "target"]
+        else:
+            args += ["--set", f"data.root={config_file}"]
+        proc = run_dife(args)
+        assert proc.returncode == C.EXIT_CONFIG, proc.stderr[-2000:]
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_outputs_equal_at_one_and_two_blas_threads(self, config_file, tmp_path):
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            proc = run_dife(["train", "--config", config_file, "--out", out],
+                            OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            runs.append([(out / name).read_bytes() for name in ("checkpoint.dife", "train_log.csv")])
+        assert runs[0] == runs[1]
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == C.EXIT_CONFIG

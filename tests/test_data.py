@@ -271,6 +271,17 @@ class TestDatasetLayout:
         test = D.load_dataset(tmp_path, "target", "test")
         assert np.array_equal(test[0].mask, originals[4].mask)
 
+    def test_each_image_pairs_with_the_mask_of_its_whole_stem(self, tmp_path):
+        # img_100000 shares its first five digits with img_10000
+        split = tmp_path / "source" / "train"
+        split.mkdir(parents=True)
+        a, b = generate_domain(2, "source", 4, (32, 32))
+        assert not np.array_equal(a.mask, b.mask)
+        D.write_sample(split / "img_10000.ppm", split / "msk_10000.pgm", a)
+        D.write_sample(split / "img_100000.ppm", split / "msk_100000.pgm", b)
+        loaded = D.load_dataset(tmp_path, "source", "train")
+        assert [np.array_equal(s.mask, want.mask) for s, want in zip(loaded, (a, b))] == [True, True]
+
     @pytest.mark.parametrize("mask_size", [(28, 28), (32, 36)])
     def test_mask_size_mismatch_rejected(self, tmp_path, mask_size):
         D.write_dataset(tmp_path, 10, 3, (32, 32))

@@ -1,7 +1,9 @@
 """Segmentation network: pairing, losses, reduction, checkpoints."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,6 +286,37 @@ class TestTapeSize:
             rec = forward_pair(Tensor(x), Tensor(np.clip(x + 0.05, 0, 1)), net)
             total_loss(rec, m, net.cfg, stats)
             assert len(tape.nodes) == self.NODES
+
+
+class TestThreadedRecording:
+    def test_two_threads_on_one_net_match_serial_gradients(self):
+        # each thread records on its own tape, so a shared Parameter has one
+        # node per tape; a GIL switch every microsecond interleaves the steps
+        rng = np.random.default_rng(0)
+        net = make_net()
+        stats = frozen_stats(net, rng)
+        batches = [rand_batch(rng, n=4, h=48, w=48) for _ in range(2)]
+
+        def grads(batch):
+            x, m = batch
+            with Tape() as tape:
+                rec = forward_pair(Tensor(x), Tensor(np.clip(x * 1.1 + 0.05, 0, 1)), net)
+                loss, _ = total_loss(rec, m, net.cfg, stats)
+                tape.backward(loss)
+                return [tape.grad(p.tensor) for p in net.parameters()]
+
+        want = [grads(b) for b in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                rounds = [list(pool.map(grads, batches, timeout=300)) for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in rounds:
+            for g_want, g_got in zip(want, got):
+                for p, a, b in zip(net.parameters(), g_want, g_got):
+                    assert np.array_equal(a, b), p.name
 
 
 class TestCheckpoint:

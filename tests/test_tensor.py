@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -293,6 +294,40 @@ class TestBackward:
                     tape1.grad(x)
         finally:
             gc.enable()
+
+    def test_no_tensor_refers_to_a_tape(self):
+        x = T.ones((1, 1, 1, 2), requires_grad=True)
+        with Tape() as tape:
+            h = T.scale(x, 2.0)
+            root = T.sum_all(T.mul(h, x))
+            tape.backward(root)
+        for t in (x, h, root):
+            for name in Tensor.__slots__:
+                value = getattr(t, name)
+                held = value if isinstance(value, tuple) else (value,)
+                assert not any(isinstance(v, Tape) for v in held), name
+
+    def test_tapes_are_per_thread(self):
+        x = T.ones((1, 1, 1, 2), requires_grad=True)
+        seen = []
+
+        def other():
+            seen.append(T.scale(x, 2.0).node_id)   # the caller's tape is not this thread's
+            with Tape() as mine:
+                seen.append(T.scale(x, 2.0).node_id)
+                mine.backward(T.sum_all(T.scale(x, 3.0)))
+                seen.append(mine.grad(x))
+
+        with Tape() as tape:
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert tape.nodes == []
+            tape.backward(T.sum_all(T.scale(x, 5.0)))
+            assert np.array_equal(tape.grad(x), np.full((1, 1, 1, 2), 5.0))
+        assert seen[:2] == [None, 1]
+        assert np.array_equal(seen[2], np.full((1, 1, 1, 2), 3.0))
 
     @pytest.mark.parametrize("where", ["reached", "unreached", "after_root"])
     def test_backward_frees_saved_state(self, where):
