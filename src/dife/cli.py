@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import glob
 import multiprocessing
 import os
 import sys
@@ -123,18 +124,11 @@ def cmd_eval(args):
 
 def run_jobs(fn, jobs):
     """[fn(job) for job in jobs] on spawned workers, one per core and at most one
-    per job.  Each runs pin_heap and one BLAS thread (numpy reads the variable set
-    here as a worker imports it; it is restored after).  fn and jobs must pickle."""
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(jobs)), initializer=pin_heap,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(fn, jobs))
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-        if saved is not None:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    per job, each set up by pin_process as the dife command is.  fn and jobs
+    must pickle."""
+    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(jobs)), initializer=pin_process,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def run_cell(payload):
@@ -214,6 +208,27 @@ def pin_heap():
         libc.mallopt(-8, 1)
 
 
+def set_blas_threads(n):
+    """Set the thread count of numpy's bundled OpenBLAS at run time.  Returns
+    False, changing nothing, where numpy bundles no OpenBLAS with the setter."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter(n)
+            return True
+    return False
+
+
+def pin_process():
+    """pin_heap and one BLAS thread: the settings of the dife command and of
+    run_jobs' workers, whose Python threads (the twin branch, evaluate's
+    pieces) each take a core.  A library caller keeps its own settings."""
+    pin_heap()
+    set_blas_threads(1)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dife",
@@ -266,7 +281,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    pin_heap()
+    pin_process()
     try:
         return args.fn(args)
     except (ConfigError, ContractError, D.FormatError, D.GenerationError, OSError) as exc:

@@ -12,6 +12,7 @@ from . import tensor as T
 from . import snr as S
 from . import isw as W
 from . import net as N
+from . import train as TR
 from .tensor import Tape, Tensor, finite_difference_gradient
 
 __all__ = ["check_op", "suite_tensor", "suite_snr", "suite_isw", "suite_net", "run"]
@@ -144,7 +145,11 @@ def suite_isw(seeds=range(20)):
 
 
 def suite_net(seeds=range(3), samples_per_param=4):
-    """Composed total loss vs finite differences over sampled weights."""
+    """Composed total loss vs finite differences over sampled weights.
+
+    The gradients come from train_step, the trainer's threaded path; the
+    finite differences from forward_pair and total_loss on this thread.
+    """
     results = {}
     worst = 0.0
     for seed in seeds:
@@ -169,8 +174,7 @@ def suite_net(seeds=range(3), samples_per_param=4):
             return loss
 
         with Tape() as tape:
-            loss = loss_value()
-            tape.backward(loss)
+            TR.train_step(tape, net, x, lambda: tx, target, stats)
             grads = {p.name: tape.grad(p.tensor) for p in net.parameters()}
         for p in net.parameters():
             flat = p.tensor.data.reshape(-1)

@@ -25,7 +25,9 @@ __all__ = [
     "ForwardRecord",
     "SegNet",
     "forward_pair",
+    "twin_covariances",
     "task_loss",
+    "add_isw_terms",
     "total_loss",
     "save_checkpoint",
     "load_checkpoint",
@@ -60,6 +62,11 @@ class NetConfig:
                     f"attention_reduction: expected a divisor of stage {s} width "
                     f"{self.stage_channels[s - 1]}, got {self.attention_reduction}"
                 )
+
+    @property
+    def use_isw(self):
+        """True when an ISW term reads the twin view: ISW stages and lambda1 > 0."""
+        return bool(self.isw_stages) and self.lambda1 > 0
 
 
 @dataclass
@@ -160,20 +167,31 @@ class SegNet:
 
 
 def forward_pair(x, tx, net):
-    """Run both views through the encoder; logits come from the raw view."""
+    """Run both views through the encoder; logits come from the raw view.
+
+    tx is the twin view, encoded here after the raw view, or a callable that
+    returns the twin's per-stage covariances (the trainer computes them on
+    another thread); it is called once the raw view's covariances exist.
+    Neither is touched when no ISW term reads the pair (not cfg.use_isw).
+    """
     cfg = net.cfg
-    if x.shape != tx.shape:
-        raise ShapeError(f"forward_pair: view shapes differ {x.shape} vs {tx.shape}")
     snr_rec = {}
     feats_x = net.encode(x, record=snr_rec)
     record = ForwardRecord(logits=net.decode(feats_x[-1]), snr_outputs=snr_rec)
-    if cfg.isw_stages:
-        feats_tx = net.encode(tx)
-        for s in sorted(cfg.isw_stages):
-            theta_x = W.feature_covariance(feats_x[s - 1])
-            theta_tx = W.feature_covariance(feats_tx[s - 1])
-            record.cov_pairs[s] = (theta_x, theta_tx)
+    if cfg.use_isw:
+        theta_x = {s: W.feature_covariance(feats_x[s - 1]) for s in sorted(cfg.isw_stages)}
+        theta_tx = tx() if callable(tx) else twin_covariances(tx, net, x.shape)
+        record.cov_pairs = {s: (theta_x[s], theta_tx[s]) for s in theta_x}
     return record
+
+
+def twin_covariances(tx, net, shape):
+    """{stage: covariance} of the twin view tx's encoder features at each ISW
+    stage; shape is the raw view's, which tx must match."""
+    if tx.shape != shape:
+        raise ShapeError(f"forward_pair: view shapes differ {shape} vs {tx.shape}")
+    feats = net.encode(tx)
+    return {s: W.feature_covariance(feats[s - 1]) for s in sorted(net.cfg.isw_stages)}
 
 
 def task_loss(logits, mask):
@@ -205,15 +223,22 @@ def total_loss(record, mask, cfg, stats_by_stage=None):
             breakdown[f"dc_{s}"] = dc.item()
             loss = T.add(loss, T.scale(dc, cfg.lambda2))
     if stats_by_stage is not None and cfg.lambda1 > 0:
-        for s, (theta_x, theta_tx) in sorted(record.cov_pairs.items()):
-            stats = stats_by_stage.get(s)
-            if stats is None or not stats.frozen:
-                raise ContractError(f"total_loss: ISW mask for stage {s} is not frozen yet")
-            term = W.isw_loss(theta_x, theta_tx, stats.mask)
-            breakdown[f"isw_{s}"] = term.item()
-            loss = T.add(loss, T.scale(term, cfg.lambda1))
+        loss = add_isw_terms(loss, record.cov_pairs, cfg, stats_by_stage, breakdown)
     breakdown["total"] = loss.item()
     return loss, breakdown
+
+
+def add_isw_terms(loss, cov_pairs, cfg, stats_by_stage, breakdown):
+    """loss plus lambda1 times each stage's ISW term over its frozen mask;
+    each term's value goes into breakdown as isw_<stage>."""
+    for s, (theta_x, theta_tx) in sorted(cov_pairs.items()):
+        stats = stats_by_stage.get(s)
+        if stats is None or not stats.frozen:
+            raise ContractError(f"total_loss: ISW mask for stage {s} is not frozen yet")
+        term = W.isw_loss(theta_x, theta_tx, stats.mask)
+        breakdown[f"isw_{s}"] = term.item()
+        loss = T.add(loss, T.scale(term, cfg.lambda1))
+    return loss
 
 
 def save_checkpoint(path, net):

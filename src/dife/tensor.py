@@ -136,6 +136,10 @@ class Tape:
     active tape, which records only that thread's ops.  No tensor refers to
     a tape: an op's output carries its node's tag, and the tape holds each
     tracked leaf it meets (a requires_grad tensor, such as a Parameter).
+    A leaf gets no node, only a gradient slot: its id is -1 - (its index
+    among the leaves), which indexes that slot from the end of `grads`.
+    Tape(keep_interior=False) also frees each node's gradient once the
+    node's backward has run, for a caller that reads only the leaves'.
 
     A closed tape answers grad() until the next tape opens on its thread,
     which drops its record.  The drop waits because memory freed at a
@@ -146,11 +150,12 @@ class Tape:
     pins glibc's thresholds; the deferral remains for library callers.
     """
 
-    def __init__(self):
+    def __init__(self, keep_interior=True):
         self.serial = next(_SERIALS)
         self.nodes = []
         self.grads = None
-        self.leaves = {}   # id(leaf) -> (node id, leaf); holding the leaf keeps its id unique
+        self.leaves = {}   # id(leaf) -> (leaf id, leaf); holding the leaf keeps its id unique
+        self.keep_interior = keep_interior
 
     def __enter__(self):
         if _STATE.active is not None:
@@ -159,9 +164,12 @@ class Tape:
         # trainer's locals would keep it (14.6 MiB on a full step) all step.
         closed, _STATE.closed = _STATE.closed, None
         if closed is not None:
-            closed.nodes = closed.grads = closed.leaves = None
+            closed._drop()
         _STATE.active = self
         return self
+
+    def _drop(self):
+        self.nodes = self.grads = self.leaves = None
 
     def __exit__(self, *exc):
         _STATE.active, _STATE.closed = None, self
@@ -175,11 +183,10 @@ class Tape:
         return self.leaves.get(id(t), (None,))[0]
 
     def _leaf(self, t):
-        """Node id for tensor t, creating a leaf node if it is tracked."""
+        """Id of tensor t, giving it a leaf id if it is tracked and has none."""
         nid = self._id(t)
         if nid is None and t.requires_grad:
-            nid = len(self.nodes)
-            self.nodes.append(_Node((), None))
+            nid = -1 - len(self.leaves)
             self.leaves[id(t)] = (nid, t)
         return nid
 
@@ -202,7 +209,7 @@ class Tape:
         rid = self._id(root)
         if rid is None:
             raise ContractError("root is not recorded on this tape")
-        self.grads = [None] * len(self.nodes)
+        self.grads = [None] * (len(self.nodes) + len(self.leaves))
         self.grads[rid] = np.ones((1, 1, 1, 1))
         # Nodes after root get no gradient (parents precede their children),
         # so the walk starts at the last node only to free their closures.
@@ -213,6 +220,8 @@ class Tape:
             if g is None or fn is None:
                 continue
             parent_grads = fn(g)
+            if not self.keep_interior:
+                self.grads[nid] = None
             for pid, pg in zip(node.parents, parent_grads):
                 if pid is None or pg is None:   # untracked input, or no gradient
                     continue
@@ -222,16 +231,43 @@ class Tape:
                 else:
                     self.grads[pid] = self.grads[pid] + pg
 
-    def grad(self, t):
-        """Gradient buffer for t after backward(); zeros if unreachable."""
+    def _ran(self):
         if self.nodes is None:
-            raise ContractError("this tape's record was dropped when the next tape opened")
+            raise ContractError("this tape's record was dropped")
         if self.grads is None:
             raise ContractError("backward() has not run on this tape")
+
+    def grad(self, t):
+        """Gradient buffer for t after backward(); zeros if unreachable."""
+        self._ran()
         nid = self._id(t)
         if nid is not None and self.grads[nid] is not None:
             return self.grads[nid]
         return np.zeros(t.shape)
+
+    def take_leaf_grads(self):
+        """(leaf, gradient) for each tracked leaf that backward reached.
+
+        Drops the record, so the interior gradients are freed now rather
+        than when the next tape opens on this thread.
+        """
+        self._ran()
+        pairs = [(leaf, self.grads[nid]) for nid, leaf in self.leaves.values()
+                 if self.grads[nid] is not None]
+        self._drop()
+        return pairs
+
+    def add_grads(self, pairs):
+        """Add (leaf, gradient) pairs taken off another tape to this tape's
+        leaf gradients, after backward: each sum is the one a single tape
+        holding both records would form."""
+        self._ran()
+        for leaf, g in pairs:
+            nid = self.leaves.get(id(leaf), (None,))[0]
+            if nid is None:
+                raise ContractError(f"add_grads: {leaf!r} is not a leaf of this tape")
+            own = self.grads[nid]
+            self.grads[nid] = g if own is None else g + own
 
 
 def zeros(shape, requires_grad=False):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +15,7 @@ import numpy as np
 from . import net as N
 from . import isw as W
 from . import data as D
+from . import tensor as T
 from .fields import check_fields, ranged
 from .metrics import ConfusionCounts, confusion_from_masks, compute_report
 from .tensor import Tape, Tensor, ContractError
@@ -21,6 +25,7 @@ __all__ = [
     "NumericalError",
     "poly_lr",
     "sgd_step",
+    "train_step",
     "train",
     "evaluate",
 ]
@@ -29,6 +34,7 @@ __all__ = [
 EVAL_BATCH = 8   # images per batch in evaluate, split across the eval threads
 
 _POOL = None     # evaluate's threads, started on first use
+_TWIN = None     # the twin branch's thread, started on first use
 
 
 class NumericalError(RuntimeError):
@@ -78,12 +84,90 @@ def _batch_arrays(samples, idxs):
     return x, m
 
 
+def _photometric_twin(images, twin_params):
+    return Tensor(np.stack([D.apply_photometric(img, p) for img, p in zip(images, twin_params)]))
+
+
+def _twin_branch(net, twin, shape, stats_by_stage, thetas, err):
+    """The twin view's part of a step, on the twin thread.
+
+    Builds the view with twin(), encodes it and publishes its per-stage
+    covariances to the future `thetas`.  Before the freeze (stats_by_stage
+    None) nothing differentiates the twin, so nothing is recorded.  After
+    it, the branch records on its own tape and runs the backward of its
+    share of the ISW term at once: that gradient, sign(theta_tx) * mask *
+    lambda1 / (2 N nnz), does not read the raw view, which enters at zero.
+    Returns the parameters' (leaf, gradient) pairs.  `err` is the caller's
+    np.geterr(); an exception also fails `thetas`, so no one waits on it.
+    """
+    # T.Tape, not this module's Tape: the bench's StepClock counts each
+    # entry of that name as a training step
+    try:
+        with np.errstate(**err), (contextlib.nullcontext() if stats_by_stage is None
+                                  else T.Tape(keep_interior=False)) as tape:
+            theta = N.twin_covariances(twin(), net, shape)
+            thetas.set_result(theta)
+            if tape is None:
+                return []
+            pairs = {s: (T.zeros(t.shape), t) for s, t in theta.items()}
+            root = N.add_isw_terms(T.scalar(0.0), pairs, net.cfg, stats_by_stage, {})
+            if root.node_id is None:   # every mask is empty
+                return []
+            tape.backward(root)
+            return tape.take_leaf_grads()
+    except BaseException as exc:
+        if not thetas.done():
+            thetas.set_exception(exc)
+        raise
+
+
+def train_step(tape, net, x, twin, masks, stats_by_stage):
+    """Forward and backward of one batch under `tape`, open on this thread.
+
+    Returns (loss, breakdown); each parameter's gradient is then tape.grad
+    of its tensor.  twin() builds the twin view.  When an ISW term reads it
+    (net.cfg.use_isw), the twin's branch runs on the twin thread while this
+    thread runs the raw view: encode, decode, covariances, total_loss (the
+    twin's covariances enter as untracked constants) and backward.  Then
+    the twin's parameter gradients are added to this tape's: each sum is the
+    one a single tape over both views forms, so the gradients are bit for
+    bit that serial composition's.  Until stats_by_stage is frozen the step
+    accumulates the warm-up variance instead of the ISW term.
+    """
+    global _TWIN
+    cfg = net.cfg
+    frozen = cfg.use_isw and all(st.frozen for st in stats_by_stage.values())
+    thetas = job = None
+    if cfg.use_isw:
+        if _TWIN is None:
+            _TWIN = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dife-twin")
+        thetas = Future()
+        job = _TWIN.submit(_twin_branch, net, twin, x.shape, stats_by_stage if frozen else None,
+                           thetas, np.geterr())
+    try:
+        record = N.forward_pair(x, None if thetas is None else thetas.result, net)
+        if cfg.use_isw and not frozen:
+            for s, (tx_, ttx_) in record.cov_pairs.items():
+                W.update_warmup(stats_by_stage[s], tx_, ttx_)
+        loss, breakdown = N.total_loss(record, masks, cfg, stats_by_stage if frozen else None)
+        bad = [k for k, v in breakdown.items() if not math.isfinite(v)]
+        if bad:
+            raise NumericalError(f"non-finite loss ({', '.join(bad)})")
+        tape.backward(loss)
+        if job is not None:
+            tape.add_grads(job.result())
+    finally:
+        if job is not None:
+            job.exception()   # the twin branch ends inside the step, even on an error here
+    return loss, breakdown
+
+
 def train(net, cfg, train_samples, val_samples, out_dir=None):
     """Train net on source samples; returns (best_params, log_rows, stats).
 
-    Every step runs forward_pair and total_loss.  With empty block sets and
-    zero loss weights that is the plain encoder-decoder baseline, equal bit
-    for bit to SegNet.forward_baseline.
+    Every step is one train_step: forward_pair and total_loss.  With empty
+    block sets and zero loss weights that is the plain encoder-decoder
+    baseline, equal bit for bit to SegNet.forward_baseline.
     """
     ncfg = net.cfg
     params = net.parameters()
@@ -97,13 +181,11 @@ def train(net, cfg, train_samples, val_samples, out_dir=None):
         s: W.CovarianceStats(ncfg.stage_channels[s - 1], ncfg.k)
         for s in sorted(ncfg.isw_stages)
     }
-    use_isw = bool(stats_by_stage) and ncfg.lambda1 > 0
     log_rows = []
     best = {"miou": -1.0, "params": None, "epoch": 0}
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        warm = epoch <= cfg.warmup_epochs
         sums = {}
         for b in range(steps_per_epoch):
             idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
@@ -116,26 +198,18 @@ def train(net, cfg, train_samples, val_samples, out_dir=None):
             twin_params = [cfg.twin.sample_params(rng) for _ in range(len(idxs))]
             lr = poly_lr(step, total_steps, cfg)
             with Tape() as tape:
-                x = tx = Tensor(images)
-                if ncfg.isw_stages:
-                    tx = Tensor(np.stack([D.apply_photometric(img, p)
-                                          for img, p in zip(images, twin_params)]))
-                record = N.forward_pair(x, tx, net)
-                if use_isw and warm:
-                    for s, (tx_, ttx_) in record.cov_pairs.items():
-                        W.update_warmup(stats_by_stage[s], tx_, ttx_)
-                loss, breakdown = N.total_loss(
-                    record, masks, ncfg,
-                    stats_by_stage if (use_isw and not warm) else None,
-                )
-                if loss.has_nonfinite():
-                    raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
-                tape.backward(loss)
+                try:
+                    _, breakdown = train_step(
+                        tape, net, Tensor(images),
+                        functools.partial(_photometric_twin, images, twin_params),
+                        masks, stats_by_stage)
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} at epoch {epoch} step {step}") from None
                 sgd_step(params, tape, lr, cfg.momentum)
             for key, val in breakdown.items():
                 sums[key] = sums.get(key, 0.0) + val
             step += 1
-        if use_isw and epoch == cfg.warmup_epochs:
+        if ncfg.use_isw and epoch == cfg.warmup_epochs:
             for s, stats in sorted(stats_by_stage.items()):
                 if not np.isfinite(stats.v).all():
                     raise NumericalError(f"non-finite warm-up variance V at ISW stage {s}")
@@ -192,14 +266,11 @@ def evaluate(net, samples, num_classes):
     layer down numpy's gemv path, which rounds differently.  The pieces run
     on a thread pool (numpy releases the GIL in matmul and array copies) and
     this thread sums their integer counts, so the report is a serial run's.
-    A set of one batch, such as a small validation split, runs whole on this
-    thread: split, it took longer (the bench's 6-image validation, +8-12 %).
-    Tapes are per thread: the pool's pieces never record on the caller's tape.
+    Every piece runs on the pool, a set of one piece too, and tapes are per
+    thread: evaluate never records on the caller's tape.
     """
     global _POOL
     err = np.geterr()
-    if len(samples) <= EVAL_BATCH:
-        return compute_report(_piece_counts(net, samples, num_classes, err))
     cores = len(os.sched_getaffinity(0))
     pieces = []
     for lo in range(0, len(samples), EVAL_BATCH):

@@ -419,14 +419,40 @@ class TestTrainEvalCommands:
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_outputs_equal_at_one_and_two_blas_threads(self, config_file, tmp_path):
+        # main pins one BLAS thread, so the command runs here past that pin,
+        # with the count set at run time as a library caller would set it
+        before = openblas_threads(None)
+        if before is None:
+            pytest.skip("numpy bundles no OpenBLAS that reports its thread count")
         runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}"
-            proc = run_dife(["train", "--config", config_file, "--out", out],
-                            OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr[-2000:]
-            runs.append([(out / name).read_bytes() for name in ("checkpoint.dife", "train_log.csv")])
+        try:
+            for threads in (1, 2):
+                out = tmp_path / f"blas{threads}"
+                assert C.set_blas_threads(threads)
+                args = C.build_parser().parse_args(["train", "--config", str(config_file),
+                                                    "--out", str(out)])
+                assert args.fn(args) == C.EXIT_OK
+                assert openblas_threads(None) == threads
+                runs.append([(out / name).read_bytes()
+                             for name in ("checkpoint.dife", "train_log.csv")])
+        finally:
+            C.set_blas_threads(before)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fault,code", [("raises", C.EXIT_CONFIG), ("nan", C.EXIT_NUMERIC)])
+    def test_twin_branch_failure_keeps_its_exit_code(self, config_file, monkeypatch, capsys,
+                                                     fault, code):
+        # the twin view is built on the twin thread; its error reaches main typed
+        def broken(img, params):
+            if fault == "raises":
+                raise T.ContractError("photometric twin: broken transform")
+            return np.full_like(img, np.nan)
+
+        monkeypatch.setattr(D, "apply_photometric", broken)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(config_file)]) == code
+        err = capsys.readouterr().err
+        assert ("broken transform" if fault == "raises" else "ISW stage 1") in err
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == C.EXIT_CONFIG
@@ -533,12 +559,17 @@ class TestRunJobs:
     @pytest.mark.parametrize("before", [None, "3"])
     def test_one_blas_thread_per_worker_and_the_environment_restored(self, monkeypatch,
                                                                      before):
+        # the count is set at run time in each worker; the environment is
+        # neither read for it nor changed, so the workers inherit it as is
+        if openblas_threads(None) is None:
+            pytest.skip("numpy bundles no OpenBLAS that reports its thread count")
         if before is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", before)
         env = dict(os.environ)
-        assert C.run_jobs(os.getenv, ["OPENBLAS_NUM_THREADS"] * 3) == ["1"] * 3
+        assert C.run_jobs(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2) == [before] * 2
+        assert C.run_jobs(openblas_threads, [0, 1, 2]) == [1, 1, 1]
         assert dict(os.environ) == env
 
     def test_each_worker_runs_one_blas_thread(self):

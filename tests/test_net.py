@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -242,27 +243,26 @@ class TestSgdDescent:
 
 
 class TestStepMemory:
-    # Traced peak over two full-method steps at the acceptance size: 25.43 MiB
-    # when opening a tape drops the previous step's gradients, 40.23 MiB when
-    # they lived until the next tape closed, 78.58 MiB when the closed record
-    # also kept every closure.  numpy reports its buffers to tracemalloc, so
-    # the figure repeats to within bytes.
+    # Traced peak over two full-method train_steps at the acceptance size, the
+    # twin's thread included: 23.4-26.8 MiB over 8 runs, as the two threads
+    # interleave; 27-29.5 MiB while the twin's tape kept its interior
+    # gradients to its end.  One tape over both views reads 25.18 MiB; it
+    # read 40.23 MiB when a step's gradients lived until the next tape
+    # closed, 78.58 MiB when the closed record also kept every closure.
     BOUND_MIB = 30.0
 
     def test_two_full_steps_stay_under_traced_peak(self):
-        from dife.train import sgd_step
+        from dife.train import sgd_step, train_step
         rng = np.random.default_rng(0)
         net = make_net()
         stats = frozen_stats(net, rng)
         x, m = rand_batch(rng, n=4, h=48, w=48)
-        tx = np.clip(x * 1.1 + 0.05, 0, 1)
+        tx = Tensor(np.clip(x * 1.1 + 0.05, 0, 1))
         tracemalloc.start()
         try:
             for _ in range(2):
                 with Tape() as tape:
-                    rec = forward_pair(Tensor(x), Tensor(tx), net)
-                    loss, _ = total_loss(rec, m, net.cfg, stats)
-                    tape.backward(loss)
+                    train_step(tape, net, Tensor(x), lambda: tx, m, stats)
                     sgd_step(net.parameters(), tape, 1e-3, 0.9)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
@@ -271,21 +271,33 @@ class TestStepMemory:
 
 
 class TestTapeSize:
-    # One post-freeze step of the default config: 139 nodes.  The ISW loss
-    # and the two dual-causality terms are one node each per stage; as
-    # compositions of primitives they took 178.
-    NODES = 139
+    # One post-freeze train_step of the default config: 68 nodes on this
+    # thread's tape and 50 on the twin's, 118 in all.  Leaves take no node.
+    # One tape over both views holds 109 (139 when each leaf took a node);
+    # the twin's tape repeats the ISW terms and adds their weighting.  The
+    # ISW loss and the two dual-causality terms are one node each per stage;
+    # as compositions of primitives they took 178 on one tape.
+    NODES = {"raw": 68, "twin": 50}
 
-    def test_post_freeze_default_step_node_count(self):
+    def test_post_freeze_default_step_node_count(self, monkeypatch):
+        from dife.train import train_step
         rng = np.random.default_rng(0)
         net = make_net()
         stats = frozen_stats(net, rng)
         assert all(st.mask.any() for st in stats.values())
         x, m = rand_batch(rng, n=2)
+        counts = {}
+        backward = T.Tape.backward
+
+        def counted(tape, root):
+            name = "twin" if threading.current_thread().name.startswith("dife-twin") else "raw"
+            counts[name] = len(tape.nodes)
+            return backward(tape, root)
+
+        monkeypatch.setattr(T.Tape, "backward", counted)
         with Tape() as tape:
-            rec = forward_pair(Tensor(x), Tensor(np.clip(x + 0.05, 0, 1)), net)
-            total_loss(rec, m, net.cfg, stats)
-            assert len(tape.nodes) == self.NODES
+            train_step(tape, net, Tensor(x), lambda: Tensor(np.clip(x + 0.05, 0, 1)), m, stats)
+        assert counts == self.NODES
 
 
 class TestThreadedRecording:

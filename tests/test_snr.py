@@ -311,8 +311,8 @@ class TestFusedDualCausality:
         f_plus = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         with Tape() as tape:
             l_plus, l_minus = S.dual_causality_terms(f_norm, f_plus, f_minus)
-            assert l_minus.node_id is None and len(tape.nodes) == 2   # leaf + L+
-            assert tape.nodes[1].parents == (0, None)
+            assert l_minus.node_id is None and len(tape.nodes) == 1   # L+; a leaf has no node
+            assert tape.nodes[0].parents == (-1, None)
             tape.backward(l_plus)
             assert np.abs(tape.grad(f_plus)).max() > 0.0
             assert not tape.grad(f_norm).any()

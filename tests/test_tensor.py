@@ -295,6 +295,37 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_leaf_gradients_move_between_tapes(self):
+        # one computation split over two tapes sums to the one tape's gradients
+        w = Tensor(np.array([1.5, -0.5]).reshape(1, 1, 1, 2), requires_grad=True)
+        v = T.ones((1, 1, 1, 1), requires_grad=True)
+
+        def raw():
+            T.scale(v, 2.0)   # v is a leaf here, but backward does not reach it
+            return T.sum_all(T.mul(w, w))
+
+        def twin():
+            return T.sum_all(T.add(T.scale(w, 3.0), T.scale(v, 0.5)))
+
+        with Tape() as one:
+            one.backward(T.add(raw(), twin()))
+            want = {"w": one.grad(w), "v": one.grad(v)}
+        with Tape(keep_interior=False) as other:
+            other.backward(twin())
+            assert all(g is None for g in other.grads[:len(other.nodes)])   # interior freed
+            pairs = other.take_leaf_grads()
+        assert other.nodes is None   # the record is dropped as its gradients are taken
+        assert sorted(leaf is w for leaf, _ in pairs) == [False, True]
+        with Tape() as tape:
+            tape.backward(raw())
+            tape.add_grads(pairs)
+            assert np.array_equal(tape.grad(w), want["w"])
+            assert np.array_equal(tape.grad(v), want["v"])
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.scale(w, 1.0)))
+            with pytest.raises(ContractError, match="not a leaf"):
+                tape.add_grads(pairs)
+
     def test_no_tensor_refers_to_a_tape(self):
         x = T.ones((1, 1, 1, 2), requires_grad=True)
         with Tape() as tape:
@@ -326,7 +357,7 @@ class TestBackward:
             assert tape.nodes == []
             tape.backward(T.sum_all(T.scale(x, 5.0)))
             assert np.array_equal(tape.grad(x), np.full((1, 1, 1, 2), 5.0))
-        assert seen[:2] == [None, 1]
+        assert seen[:2] == [None, 0]   # x is a leaf, with no node
         assert np.array_equal(seen[2], np.full((1, 1, 1, 2), 3.0))
 
     @pytest.mark.parametrize("where", ["reached", "unreached", "after_root"])

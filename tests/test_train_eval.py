@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -323,6 +324,146 @@ class TestTrainLoop:
         assert fwd.pixel_accuracy == rev.pixel_accuracy
 
 
+def fresh_stats(net):
+    return {s: W.CovarianceStats(net.cfg.stage_channels[s - 1], net.cfg.k)
+            for s in sorted(net.cfg.isw_stages)}
+
+
+def one_tape_step(net, x, tx, m, stats):
+    """The composition train_step replaced: both views on this thread, on
+    one tape.  Returns (breakdown, each parameter's gradient)."""
+    frozen = all(st.frozen for st in stats.values())
+    with Tape() as tape:
+        rec = N.forward_pair(Tensor(x), Tensor(tx), net)
+        if not frozen:
+            for s, (a, b) in rec.cov_pairs.items():
+                W.update_warmup(stats[s], a, b)
+        loss, breakdown = N.total_loss(rec, m, net.cfg, stats if frozen else None)
+        tape.backward(loss)
+        return breakdown, [tape.grad(p.tensor) for p in net.parameters()]
+
+
+def threaded_step(net, x, twin, m, stats):
+    with Tape() as tape:
+        _, breakdown = TR.train_step(tape, net, Tensor(x), twin, m, stats)
+        return breakdown, [tape.grad(p.tensor) for p in net.parameters()]
+
+
+class TestTrainStep:
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, (4, 3, 48, 48))
+        return x, np.clip(x * 1.1 + 0.05, 0, 1), rng.integers(0, 4, (4, 48, 48))
+
+    @pytest.mark.parametrize("blocks", [
+        {},
+        # the twin reaches only stage 1: stages 2-3 take raw gradients alone
+        {"isw_stages": frozenset({1}), "k": 3},
+        {"snr_stages": frozenset(), "isw_stages": frozenset({2, 3}), "lambda2": 0.0},
+    ], ids=["default", "isw1", "no-snr"])
+    def test_gradients_equal_one_tape_before_and_after_the_freeze(self, batch, blocks):
+        x, tx, m = batch
+        net = SegNet(NetConfig(**blocks), seed=1)
+        one, two = fresh_stats(net), fresh_stats(net)
+        for phase in ("warm-up", "post-freeze"):
+            want_terms, want = one_tape_step(net, x, tx, m, one)
+            got_terms, got = threaded_step(net, x, lambda: Tensor(tx), m, two)
+            assert got_terms == want_terms, phase
+            for p, a, b in zip(net.parameters(), want, got):
+                assert np.array_equal(a, b), (phase, p.name)
+            if phase == "warm-up":
+                for s in one:
+                    assert np.array_equal(one[s].v, two[s].v), s
+                    one[s].freeze()
+                    two[s].freeze()
+        assert all(st.mask.any() for st in two.values())
+        assert {f"isw_{s}" for s in two} <= set(got_terms)
+
+    def test_warmup_records_only_on_this_thread(self, batch, monkeypatch):
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        entered = []
+        enter = T.Tape.__enter__
+
+        def spy(tape):
+            entered.append(threading.current_thread().name)
+            return enter(tape)
+
+        monkeypatch.setattr(T.Tape, "__enter__", spy)
+        stats = fresh_stats(net)
+        threaded_step(net, x, lambda: Tensor(tx), m, stats)
+        assert len(entered) == 1
+        for st in stats.values():
+            st.freeze()
+        threaded_step(net, x, lambda: Tensor(tx), m, stats)
+        assert len(entered) == 3 and entered[2].startswith("dife-twin")
+
+    def test_no_twin_pass_when_no_isw_term_reads_it(self, tiny_sets, monkeypatch):
+        # lambda1 = 0: no V, no freeze and no ISW term, so no twin view either;
+        # its parameters are still drawn, so training equals the ISW-free run's
+        train_set, val_set = tiny_sets
+        cfg = TrainConfig(epochs=2, seed=2, warmup_epochs=1)
+        plain = SegNet(NetConfig(isw_stages=frozenset(), lambda1=0.0), seed=2)
+        TR.train(plain, cfg, train_set, val_set)
+        twin_encodes = []
+        encode = SegNet.encode
+
+        def spy(net, x, *args, **kwargs):
+            twin_encodes.append(threading.current_thread().name.startswith("dife-twin"))
+            return encode(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(SegNet, "encode", spy)
+        monkeypatch.setattr(D, "apply_photometric", lambda img, p: pytest.fail("twin view built"))
+        net = SegNet(NetConfig(lambda1=0.0), seed=2)
+        TR.train(net, cfg, train_set, val_set)
+        assert twin_encodes and sum(twin_encodes) == 0
+        for a, b in zip(plain.parameters(), net.parameters()):
+            assert np.array_equal(a.data, b.data), a.name
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["warm-up", "post-freeze"])
+    def test_twin_errors_reach_the_caller_typed(self, batch, monkeypatch, frozen):
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        stats = fresh_stats(net)
+        if frozen:
+            threaded_step(net, x, lambda: Tensor(tx), m, stats)
+            for st in stats.values():
+                st.freeze()
+        # before the twin's covariances exist: this thread waits on them
+        with pytest.raises(T.ShapeError, match="view shapes differ"):
+            threaded_step(net, x, lambda: Tensor(tx[:, :, :40]), m, stats)
+        if frozen:
+            # after: the twin fails in its own backward
+            real = N.add_isw_terms
+
+            def failing(*args):
+                if threading.current_thread().name.startswith("dife-twin"):
+                    raise ContractError("twin share failed")
+                return real(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(N, "add_isw_terms", failing)
+                with pytest.raises(ContractError, match="twin share failed"):
+                    threaded_step(net, x, lambda: Tensor(tx), m, stats)
+        # the twin thread lives on and the next step is whole
+        want_terms, want = one_tape_step(net, x, tx, m, stats if frozen else fresh_stats(net))
+        got_terms, got = threaded_step(net, x, lambda: Tensor(tx), m,
+                                       stats if frozen else fresh_stats(net))
+        assert got_terms == want_terms
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_callers_errstate_governs_the_twin_branch(self, batch):
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        huge = Tensor(tx * 1e200)   # the SNR stage's variance overflows, on the twin only
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            threaded_step(net, x, lambda: huge, m, fresh_stats(net))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threaded_step(net, x, lambda: huge, m, fresh_stats(net))
+
+
 def serial_counts(net, samples, num_classes):
     """The serial loop evaluate replaced: EVAL_BATCH images per forward on
     this thread, counted image by image."""
@@ -361,8 +502,8 @@ class TestThreadedEvaluate:
         (9, 2, [4, 4, 1]), (10, 2, [4, 4, 2]), (11, 2, [4, 4, 3]), (14, 2, [4, 4, 3, 3]),
         (13, 2, [4, 4, 2, 3]), (13, 4, [2, 2, 2, 2, 2, 3]),
         (17, 4, [2, 2, 2, 2, 2, 2, 2, 2, 1]), (16, 1, [8, 8]),
-        # a set of one batch is not split
-        (8, 2, [8]), (6, 2, [6]), (1, 2, [1]),
+        # a set of one batch is split by the same rule
+        (8, 2, [4, 4]), (6, 2, [3, 3]), (1, 2, [1]),
     ])
     def test_pieces_hold_two_images_and_split_evenly(self, images, cores, n, ncores, expect):
         sizes = cores(ncores)
@@ -401,15 +542,17 @@ class TestThreadedEvaluate:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     def test_runs_under_an_active_tape(self, images, monkeypatch):
-        # tapes are per thread: the pool's pieces cannot record on the caller's
+        # tapes are per thread and every piece runs on the pool, a set of one
+        # batch or one piece too: nothing records on the caller's tape
         monkeypatch.setattr(TR, "compute_report", lambda counts: counts)
         net = SegNet(NetConfig(), seed=0)
-        want = serial_counts(net, images[:12], 4)
-        with Tape() as tape:
-            got = evaluate(net, images[:12], 4)
-            assert tape.nodes == []
-        for name in ("tp", "fp", "fn", "tn"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        for n in (1, 6, 12):
+            want = serial_counts(net, images[:n], 4)
+            with Tape() as tape:
+                got = evaluate(net, images[:n], 4)
+                assert tape.nodes == [] and tape.leaves == {}, n
+            for name in ("tp", "fp", "fn", "tn"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     def test_callers_errstate_governs_the_pieces(self, images):
         net = SegNet(NetConfig(), seed=0)
