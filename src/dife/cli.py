@@ -89,16 +89,22 @@ def _load_split(root, domain, split, num_classes):
     return samples
 
 
+def _train(cfg, root, out_dir=None):
+    """(net, best) of TR.train: the config's seeded SegNet on root's source splits."""
+    ncfg, tcfg = cfg.net_config(), cfg.train_config()
+    train_set = _load_split(root, "source", "train", ncfg.num_classes)
+    val_set = _load_split(root, "source", "val", ncfg.num_classes)
+    net = N.SegNet(ncfg, seed=tcfg.seed)
+    best, _, _ = TR.train(net, tcfg, train_set, val_set, out_dir=out_dir)
+    return net, best
+
+
 def cmd_train(args):
     cfg, out_dir = _prepare_run(args)
-    ncfg = cfg.net_config()
-    tcfg = cfg.train_config()
-    train_set = _load_split(cfg["data.root"], "source", "train", ncfg.num_classes)
-    val_set = _load_split(cfg["data.root"], "source", "val", ncfg.num_classes)
-    net = N.SegNet(ncfg, seed=tcfg.seed)
+    ncfg, seed = cfg.net_config(), cfg.train_config().seed
     print(f"config: snr={sorted(ncfg.snr_stages)} isw={sorted(ncfg.isw_stages)} "
-          f"lambda1={ncfg.lambda1} lambda2={ncfg.lambda2} dc={ncfg.dc_mode} seed={tcfg.seed}")
-    best, log_rows, _ = TR.train(net, tcfg, train_set, val_set, out_dir=out_dir)
+          f"lambda1={ncfg.lambda1} lambda2={ncfg.lambda2} dc={ncfg.dc_mode} seed={seed}")
+    _, best = _train(cfg, cfg["data.root"], out_dir)
     print(f"best val mIoU {best['miou']:.4f} at epoch {best['epoch']}; "
           f"checkpoint written to {os.path.join(out_dir, 'checkpoint.dife')}")
     return EXIT_OK
@@ -135,15 +141,10 @@ def run_cell(payload):
     """One seeded ablation run; executed in a worker process."""
     config_path, overrides, data_root = payload
     cfg = load_config(config_path, overrides)
-    ncfg = cfg.net_config()
-    tcfg = cfg.train_config()
-    train_set = _load_split(data_root, "source", "train", ncfg.num_classes)
-    val_set = _load_split(data_root, "source", "val", ncfg.num_classes)
-    target_test = _load_split(data_root, "target", "test", ncfg.num_classes)
-    net = N.SegNet(ncfg, seed=tcfg.seed)
-    best, _, _ = TR.train(net, tcfg, train_set, val_set)
-    target_rep = TR.evaluate(net, target_test, ncfg.num_classes)
-    return {"val_miou": best["miou"], "target_miou": target_rep.miou}
+    num_classes = cfg.net_config().num_classes
+    target_test = _load_split(data_root, "target", "test", num_classes)   # fails before the run
+    net, best = _train(cfg, data_root)
+    return {"val_miou": best["miou"], "target_miou": TR.evaluate(net, target_test, num_classes).miou}
 
 
 def _ablation_cells(axis):
@@ -204,7 +205,7 @@ def pin_heap():
         # either one alone freezes the dynamic mmap threshold: 140-270k faults per eval
         libc.mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD: stops frees from trimming the heap top
         libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: stops arrays under 32 MiB being mmapped
-        # M_ARENA_MAX: the eval threads share this heap; an arena each kept its own peak (+7 MiB)
+        # M_ARENA_MAX: the pool threads share this heap; an arena each kept its own peak (+7 MiB)
         libc.mallopt(-8, 1)
 
 

@@ -130,7 +130,7 @@ def kmeans_1d(values, k, max_iter=None):
     return labels, centroids
 
 
-def build_mask(v, k=2):
+def build_mask(v, k):
     """Boolean (C, C) mask of style-sensitive covariance entries.
 
     Strictly-upper-triangular entries of v are clustered; everything not in
@@ -184,7 +184,7 @@ def isw_loss(theta_x, theta_tx, mask):
 class CovarianceStats:
     """Warmup accumulator and frozen style mask for one instrumented stage."""
 
-    def __init__(self, channels, k=2):
+    def __init__(self, channels, k):
         self.channels = channels
         self.k = k
         self.v_sum = np.zeros((channels, channels))

@@ -83,63 +83,51 @@ def _he_conv(rng, c_out, c_in, k, name):
     return w, b
 
 
+def _conv(h, conv, stride=1):
+    """conv = (w, b) over h, zero-padded to keep the size at stride 1."""
+    w, b = conv
+    return T.conv2d(h, w.tensor, b.tensor, stride=stride, pad=w.tensor.shape[2] // 2)
+
+
 class SegNet:
-    """Parameters and forward passes; block math lives in snr/isw modules."""
+    """Parameters and forward passes; block math lives in snr/isw modules.
+    Each conv is declared once, in draw and parameter order: `stages` (one
+    ((w, b), stride) list per encoder stage), the SNR gates, `decoder`, `head`."""
 
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         chans = cfg.stage_channels
         self.stages = []
-        c_in = 3  # RGB, the only image format the reader accepts
-        for i, c in enumerate(chans, start=1):
-            stage = {
-                "conv_a": _he_conv(rng, c, c_in, 3, f"enc{i}.conv_a"),
-                "conv_b": _he_conv(rng, c, c, 3, f"enc{i}.conv_b"),
-            }
-            if i < len(chans):
-                stage["down"] = _he_conv(rng, c, c, 3, f"enc{i}.down")
-            self.stages.append(stage)
-            c_in = c
-        self.attention = {}
-        for s in sorted(cfg.snr_stages):
-            self.attention[s] = S.ChannelAttention(
-                chans[s - 1], cfg.attention_reduction, rng=rng, name=f"snr{s}.att"
-            )
-        self.dec1 = _he_conv(rng, chans[1], chans[2], 3, "dec1.conv")
-        self.dec2 = _he_conv(rng, chans[0], chans[1], 3, "dec2.conv")
+        # the first stage reads RGB, the only image format the reader accepts
+        for i, (c_in, c) in enumerate(zip((3, *chans), chans), start=1):
+            # a stride-2 downsample ends every stage but the last
+            layers = [("conv_a", c_in, 1), ("conv_b", c, 1)] + [("down", c, 2)] * (i < len(chans))
+            self.stages.append([(_he_conv(rng, c, ci, 3, f"enc{i}.{key}"), stride)
+                                for key, ci, stride in layers])
+        self.attention = {s: S.ChannelAttention(chans[s - 1], cfg.attention_reduction, rng=rng,
+                                                name=f"snr{s}.att")
+                          for s in sorted(cfg.snr_stages)}
+        self.decoder = [_he_conv(rng, chans[-1 - j], chans[-j], 3, f"dec{j}.conv")
+                        for j in range(1, len(chans))]
         self.head = _he_conv(rng, cfg.num_classes, chans[0], 1, "head.conv")
 
     def parameters(self):
-        params = []
-        for stage in self.stages:
-            for key in ("conv_a", "conv_b", "down"):
-                if key in stage:
-                    params.extend(stage[key])
-        for s in sorted(self.attention):
-            params.extend(self.attention[s].parameters())
-        params.extend(self.dec1)
-        params.extend(self.dec2)
-        params.extend(self.head)
-        return params
+        return ([p for stage in self.stages for conv, _ in stage for p in conv]
+                + [p for att in self.attention.values() for p in att.parameters()]
+                + [p for conv in self.decoder + [self.head] for p in conv])
 
     def encode(self, x, record=None, use_blocks=True):
         """Run the encoder; returns per-stage output features (post-SNR)."""
         if x.shape[2] % 4 or x.shape[3] % 4:
             # two stride-2 stages, then two 2x upsamples: logits match x only then
             raise ContractError(f"encode: input {x.shape[2]}x{x.shape[3]} is not a multiple of 4")
-        cfg = self.cfg
         feats = []
         h = x
         for i, stage in enumerate(self.stages, start=1):
-            w, b = stage["conv_a"]
-            h = T.relu(T.conv2d(h, w.tensor, b.tensor, stride=1, pad=1))
-            w, b = stage["conv_b"]
-            h = T.relu(T.conv2d(h, w.tensor, b.tensor, stride=1, pad=1))
-            if "down" in stage:
-                w, b = stage["down"]
-                h = T.relu(T.conv2d(h, w.tensor, b.tensor, stride=2, pad=1))
-            if use_blocks and i in cfg.snr_stages:
+            for conv, stride in stage:
+                h = T.relu(_conv(h, conv, stride))
+            if use_blocks and i in self.cfg.snr_stages:
                 out = S.snr_forward(h, self.attention[i])
                 if record is not None:
                     record[i] = out
@@ -147,23 +135,18 @@ class SegNet:
             feats.append(h)
         return feats
 
-    def decode(self, feat):
-        w, b = self.dec1
-        h = T.relu(T.conv2d(T.upsample_bilinear2x(feat), w.tensor, b.tensor, stride=1, pad=1))
-        w, b = self.dec2
-        h = T.relu(T.conv2d(T.upsample_bilinear2x(h), w.tensor, b.tensor, stride=1, pad=1))
-        w, b = self.head
-        return T.conv2d(h, w.tensor, b.tensor, stride=1, pad=0)
+    def decode(self, h):
+        for conv in self.decoder:
+            h = T.relu(_conv(T.upsample_bilinear2x(h), conv))
+        return _conv(h, self.head)
 
     def forward(self, x):
         """Plain inference path: logits for one view, no block records."""
-        feats = self.encode(x)
-        return self.decode(feats[-1])
+        return self.decode(self.encode(x)[-1])
 
     def forward_baseline(self, x):
         """Reference path compiled without any block code (reduction check)."""
-        feats = self.encode(x, use_blocks=False)
-        return self.decode(feats[-1])
+        return self.decode(self.encode(x, use_blocks=False)[-1])
 
 
 def forward_pair(x, tx, net):

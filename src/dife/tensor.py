@@ -164,11 +164,12 @@ class Tape:
         # trainer's locals would keep it (14.6 MiB on a full step) all step.
         closed, _STATE.closed = _STATE.closed, None
         if closed is not None:
-            closed._drop()
+            closed.drop()
         _STATE.active = self
         return self
 
-    def _drop(self):
+    def drop(self):
+        """Free the record now, not when the next tape opens on this thread."""
         self.nodes = self.grads = self.leaves = None
 
     def __exit__(self, *exc):
@@ -254,7 +255,7 @@ class Tape:
         self._ran()
         pairs = [(leaf, self.grads[nid]) for nid, leaf in self.leaves.values()
                  if self.grads[nid] is not None]
-        self._drop()
+        self.drop()
         return pairs
 
     def add_grads(self, pairs):

@@ -31,10 +31,9 @@ __all__ = [
 ]
 
 
-EVAL_BATCH = 8   # images per batch in evaluate, split across the eval threads
+EVAL_BATCH = 8   # images per batch in evaluate, split across the pool's threads
 
-_POOL = None     # evaluate's threads, started on first use
-_TWIN = None     # the twin branch's thread, started on first use
+_POOL = None     # one thread per core for the twin branch and evaluate's pieces
 
 
 class NumericalError(RuntimeError):
@@ -88,8 +87,22 @@ def _photometric_twin(images, twin_params):
     return Tensor(np.stack([D.apply_photometric(img, p) for img, p in zip(images, twin_params)]))
 
 
-def _twin_branch(net, twin, shape, stats_by_stage, thetas, err):
-    """The twin view's part of a step, on the twin thread.
+def _on_pool(fn, *args):
+    """Future of fn(*args) on the pool, started on first use, under the
+    caller's np.geterr(), which a pool thread does not inherit."""
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="dife")
+    err = np.geterr()
+
+    def run():
+        with np.errstate(**err):
+            return fn(*args)
+    return _POOL.submit(run)
+
+
+def _twin_branch(net, twin, shape, stats_by_stage, thetas):
+    """The twin view's part of a step, on a pool thread.
 
     Builds the view with twin(), encodes it and publishes its per-stage
     covariances to the future `thetas`.  Before the freeze (stats_by_stage
@@ -97,14 +110,15 @@ def _twin_branch(net, twin, shape, stats_by_stage, thetas, err):
     it, the branch records on its own tape and runs the backward of its
     share of the ISW term at once: that gradient, sign(theta_tx) * mask *
     lambda1 / (2 N nnz), does not read the raw view, which enters at zero.
-    Returns the parameters' (leaf, gradient) pairs.  `err` is the caller's
-    np.geterr(); an exception also fails `thetas`, so no one waits on it.
+    Returns the parameters' (leaf, gradient) pairs.  An exception also
+    fails `thetas`, so no one waits on it.  The tape's record is dropped on
+    every exit: the next tape to open on this pool thread may be far off.
     """
     # T.Tape, not this module's Tape: the bench's StepClock counts each
     # entry of that name as a training step
+    tape = None if stats_by_stage is None else T.Tape(keep_interior=False)
     try:
-        with np.errstate(**err), (contextlib.nullcontext() if stats_by_stage is None
-                                  else T.Tape(keep_interior=False)) as tape:
+        with tape or contextlib.nullcontext():
             theta = N.twin_covariances(twin(), net, shape)
             thetas.set_result(theta)
             if tape is None:
@@ -119,6 +133,9 @@ def _twin_branch(net, twin, shape, stats_by_stage, thetas, err):
         if not thetas.done():
             thetas.set_exception(exc)
         raise
+    finally:
+        if tape is not None:
+            tape.drop()
 
 
 def train_step(tape, net, x, twin, masks, stats_by_stage):
@@ -126,7 +143,7 @@ def train_step(tape, net, x, twin, masks, stats_by_stage):
 
     Returns (loss, breakdown); each parameter's gradient is then tape.grad
     of its tensor.  twin() builds the twin view.  When an ISW term reads it
-    (net.cfg.use_isw), the twin's branch runs on the twin thread while this
+    (net.cfg.use_isw), the twin's branch runs on a pool thread while this
     thread runs the raw view: encode, decode, covariances, total_loss (the
     twin's covariances enter as untracked constants) and backward.  Then
     the twin's parameter gradients are added to this tape's: each sum is the
@@ -134,16 +151,12 @@ def train_step(tape, net, x, twin, masks, stats_by_stage):
     bit that serial composition's.  Until stats_by_stage is frozen the step
     accumulates the warm-up variance instead of the ISW term.
     """
-    global _TWIN
     cfg = net.cfg
     frozen = cfg.use_isw and all(st.frozen for st in stats_by_stage.values())
     thetas = job = None
     if cfg.use_isw:
-        if _TWIN is None:
-            _TWIN = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dife-twin")
         thetas = Future()
-        job = _TWIN.submit(_twin_branch, net, twin, x.shape, stats_by_stage if frozen else None,
-                           thetas, np.geterr())
+        job = _on_pool(_twin_branch, net, twin, x.shape, stats_by_stage if frozen else None, thetas)
     try:
         record = N.forward_pair(x, None if thetas is None else thetas.result, net)
         if cfg.use_isw and not frozen:
@@ -249,13 +262,11 @@ def _write_log(path, rows):
             writer.writerow([repr(row.get(k, "")) for k in keys])
 
 
-def _piece_counts(net, samples, num_classes, err):
-    """Confusion counts of one piece of a batch: forward, argmax, one count.
-    `err` is the caller's np.geterr(), which a pool thread does not inherit."""
-    with np.errstate(**err):
-        logits = net.forward(Tensor(np.stack([s.image for s in samples])))
-        pred = np.argmax(logits.data, axis=1)
-        return confusion_from_masks(pred, np.stack([s.mask for s in samples]), num_classes)
+def _piece_counts(net, samples, num_classes):
+    """Confusion counts of one piece of a batch: forward, argmax, one count."""
+    logits = net.forward(Tensor(np.stack([s.image for s in samples])))
+    pred = np.argmax(logits.data, axis=1)
+    return confusion_from_masks(pred, np.stack([s.mask for s in samples]), num_classes)
 
 
 def evaluate(net, samples, num_classes):
@@ -269,17 +280,18 @@ def evaluate(net, samples, num_classes):
     Every piece runs on the pool, a set of one piece too, and tapes are per
     thread: evaluate never records on the caller's tape.
     """
-    global _POOL
-    err = np.geterr()
     cores = len(os.sched_getaffinity(0))
     pieces = []
     for lo in range(0, len(samples), EVAL_BATCH):
         batch = samples[lo : lo + EVAL_BATCH]
         k = max(1, min(cores, len(batch) // 2))
         pieces += [batch[len(batch) * i // k : len(batch) * (i + 1) // k] for i in range(k)]
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=cores, thread_name_prefix="dife-eval")
     total = ConfusionCounts(num_classes)
-    for counts in _POOL.map(lambda piece: _piece_counts(net, piece, num_classes, err), pieces):
-        total.add(counts)
+    jobs = [_on_pool(_piece_counts, net, piece, num_classes) for piece in pieces]
+    try:
+        for job in jobs:
+            total.add(job.result())
+    finally:
+        for job in jobs:
+            job.cancel()   # after an error: the pieces not yet started
     return compute_report(total)

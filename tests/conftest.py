@@ -1,7 +1,12 @@
-"""Shared test infrastructure: acceptance-criterion result reporting and a
-tape probe for single-op references."""
+"""Shared test infrastructure: acceptance-criterion result reporting, a
+tape probe for single-op references and a spy on the twin branch's threads."""
+
+import threading
+
+import pytest
 
 from dife import tensor as T
+from dife import train as TR
 from dife.tensor import Tape, Tensor
 
 ACCEPTANCE_LINES = []
@@ -43,3 +48,18 @@ def tape_forward_backward(op, x, g):
     data = tuple(yi.data for yi in ys)
     return (data if isinstance(y, tuple) else data[0],
             grads if isinstance(x, tuple) else grads[0], nodes)
+
+
+@pytest.fixture()
+def twin_threads(monkeypatch):
+    """Idents of the threads that ran train_step's twin branch: evaluate's
+    pieces run on the same pool, so a thread's name does not tell them apart."""
+    idents = set()
+    twin_branch = TR._twin_branch
+
+    def spy(*args):
+        idents.add(threading.get_ident())
+        return twin_branch(*args)
+
+    monkeypatch.setattr(TR, "_twin_branch", spy)
+    return idents

@@ -21,3 +21,8 @@ def test_traced_train_full_run_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
+    # a conv the tracer cannot name by its layer reads 0 here, not an error
+    convs = [(name, m["value"]) for name, m in result["metrics"].items()
+             if name.startswith("tensor.conv2d.") and name.endswith(("fwd_ms", "bwd_ms"))]
+    assert len(convs) == 22
+    assert all(value > 0 for _, value in convs), convs

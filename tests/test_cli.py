@@ -442,7 +442,7 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("fault,code", [("raises", C.EXIT_CONFIG), ("nan", C.EXIT_NUMERIC)])
     def test_twin_branch_failure_keeps_its_exit_code(self, config_file, monkeypatch, capsys,
                                                      fault, code):
-        # the twin view is built on the twin thread; its error reaches main typed
+        # the twin view is built on a pool thread; its error reaches main typed
         def broken(img, params):
             if fault == "raises":
                 raise T.ContractError("photometric twin: broken transform")
@@ -505,6 +505,65 @@ class TestTrainEvalCommands:
         assert "ISW stage 1" in capsys.readouterr().err
 
 
+def mutants(blob, rng, n=25):
+    """n seeded mutants of blob of each kind: a truncation, 1-3 bit flips in
+    the first 64 bytes, one overwritten byte and trailing junk."""
+    for _ in range(n):
+        yield blob[:rng.integers(len(blob))]
+        flipped = bytearray(blob)
+        for pos in rng.integers(min(64, len(blob)), size=rng.integers(1, 4)):
+            flipped[pos] ^= 1 << int(rng.integers(8))
+        yield bytes(flipped)
+        overwritten = bytearray(blob)
+        overwritten[rng.integers(len(blob))] = rng.integers(256)
+        yield bytes(overwritten)
+        yield blob + rng.bytes(int(rng.integers(1, 17)))
+
+
+class TestMutatedInputs:
+    """Every reader behind the CLI (PPM, PGM, config, checkpoint) meets
+    seeded corruptions: each run succeeds or exits with a config/data error,
+    never with a traceback."""
+
+    READERS = ("ppm", "pgm", "config", "checkpoint")
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutants")
+        data = root / "data"
+        assert main(["generate", "--out", str(data), "--count", "3", "--seed", "1",
+                     "--size", "32x32"]) == 0
+        cfg = root / "run.cfg"   # short lines, so the flips reach the values
+        cfg.write_text("train.epochs = 1\ntrain.warmup_epochs = 1\ntrain.batch_size = 1\n"
+                       f"train.seed = 0\ndata.root = {data}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(root / "trained")]) == 0
+        return root, cfg, data
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_each_mutant_exits_ok_or_config_error(self, run, tmp_path, capsys, reader):
+        root, cfg, data = run
+        split = data / "source" / "train"
+        path = {"ppm": split / "img_00000.ppm", "pgm": split / "msk_00000.pgm", "config": cfg,
+                "checkpoint": root / "trained" / "checkpoint.dife"}[reader]
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path)]
+        if reader == "checkpoint":
+            argv = ["eval", "--config", str(cfg), "--checkpoint", str(path), "--data", str(data),
+                    "--domain", "target", "--out", str(tmp_path)]
+        original = path.read_bytes()
+        codes = []
+        # a flipped exponent bit leaves a finite weight that overflows in the
+        # forward: numpy warns, which this suite would raise, and eval goes on
+        with np.errstate(all="ignore"):
+            try:
+                for blob in mutants(original, np.random.default_rng(self.READERS.index(reader))):
+                    path.write_bytes(blob)
+                    codes.append(main(argv))
+                    assert "Traceback" not in capsys.readouterr().err
+            finally:
+                path.write_bytes(original)
+        assert set(codes) <= {C.EXIT_OK, C.EXIT_CONFIG} and C.EXIT_CONFIG in codes, codes
+
+
 class TestAblate:
     def test_cell_enumeration(self):
         assert len(C._ablation_cells("dcloss")) == 4
@@ -536,7 +595,7 @@ class TestAblate:
 
     def test_csv_equals_the_in_process_reference(self, config_file, tmp_path, dataset,
                                                  monkeypatch):
-        # an evaluate in this process first, so its eval threads are running
+        # an evaluate in this process first, so its pool threads are running
         samples = [s for split in ("train", "val", "test")
                    for s in D.load_dataset(dataset, "source", split)]
         TR.evaluate(N.SegNet(N.NetConfig()), samples, 4)

@@ -1,10 +1,12 @@
 """Segmentation network: pairing, losses, reduction, checkpoints."""
 
+import importlib.util
 import math
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,44 @@ class TestForward:
         loss_total, _ = total_loss(rec, m, net.cfg)
         loss_ref = task_loss(ref, m)
         assert loss_total.item() == loss_ref.item()
+
+
+def _snr_names(stages):
+    return [f"snr{s}.att.{fc}.{wb}" for s in stages for fc in ("fc1", "fc2") for wb in "wb"]
+
+
+class TestLayerLayout:
+    # The checkpoint's byte order, the per-seed draws and the bench's layer
+    # names all follow this order: encoder convs, SNR gates, decoder, head.
+    ENCODER = [f"enc{i}.{conv}.{wb}" for i, convs in
+               ((1, ("conv_a", "conv_b", "down")), (2, ("conv_a", "conv_b", "down")),
+                (3, ("conv_a", "conv_b"))) for conv in convs for wb in "wb"]
+    DECODER = ["dec1.conv.w", "dec1.conv.b", "dec2.conv.w", "dec2.conv.b",
+               "head.conv.w", "head.conv.b"]
+
+    @pytest.mark.parametrize("snr", [(2, 3), (), (1,), (2,), (3,), (1, 2, 3)])
+    def test_parameter_names_in_order(self, snr):
+        net = SegNet(NetConfig(snr_stages=frozenset(snr)))
+        assert [p.name for p in net.parameters()] == self.ENCODER + _snr_names(snr) + self.DECODER
+
+    def test_bench_conv_layers_are_the_default_nets_convs(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+        path = Path(__file__).resolve().parents[1] / "bench" / "hooks.py"
+        spec = importlib.util.spec_from_file_location("bench_hooks", path)
+        hooks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(hooks)
+        net = SegNet(NetConfig())
+        names = {id(p.tensor): p.name[:-2] for p in net.parameters()}
+        called = []
+        conv2d = T.conv2d
+
+        def spy(x, w, *args, **kwargs):
+            called.append(names[id(w)])
+            return conv2d(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        net.forward(Tensor(np.zeros((1, 3, 8, 8))))
+        assert called == list(hooks.CONV_LAYERS)
 
 
 class TestTaskLoss:
@@ -279,7 +319,7 @@ class TestTapeSize:
     # as compositions of primitives they took 178 on one tape.
     NODES = {"raw": 68, "twin": 50}
 
-    def test_post_freeze_default_step_node_count(self, monkeypatch):
+    def test_post_freeze_default_step_node_count(self, monkeypatch, twin_threads):
         from dife.train import train_step
         rng = np.random.default_rng(0)
         net = make_net()
@@ -290,7 +330,7 @@ class TestTapeSize:
         backward = T.Tape.backward
 
         def counted(tape, root):
-            name = "twin" if threading.current_thread().name.startswith("dife-twin") else "raw"
+            name = "twin" if threading.get_ident() in twin_threads else "raw"
             counts[name] = len(tape.nodes)
             return backward(tape, root)
 

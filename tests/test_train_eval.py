@@ -1,6 +1,7 @@
 """Training loop, LR schedule, optimizer, metrics, and paired t-test."""
 
 import math
+import os
 import sys
 import threading
 import warnings
@@ -380,14 +381,14 @@ class TestTrainStep:
         assert all(st.mask.any() for st in two.values())
         assert {f"isw_{s}" for s in two} <= set(got_terms)
 
-    def test_warmup_records_only_on_this_thread(self, batch, monkeypatch):
+    def test_warmup_records_only_on_this_thread(self, batch, monkeypatch, twin_threads):
         x, tx, m = batch
         net = SegNet(NetConfig(), seed=1)
         entered = []
         enter = T.Tape.__enter__
 
         def spy(tape):
-            entered.append(threading.current_thread().name)
+            entered.append(threading.get_ident())
             return enter(tape)
 
         monkeypatch.setattr(T.Tape, "__enter__", spy)
@@ -397,7 +398,8 @@ class TestTrainStep:
         for st in stats.values():
             st.freeze()
         threaded_step(net, x, lambda: Tensor(tx), m, stats)
-        assert len(entered) == 3 and entered[2].startswith("dife-twin")
+        assert len(entered) == 3 and entered[2] in twin_threads
+        assert threading.get_ident() not in twin_threads
 
     def test_no_twin_pass_when_no_isw_term_reads_it(self, tiny_sets, monkeypatch):
         # lambda1 = 0: no V, no freeze and no ISW term, so no twin view either;
@@ -406,23 +408,43 @@ class TestTrainStep:
         cfg = TrainConfig(epochs=2, seed=2, warmup_epochs=1)
         plain = SegNet(NetConfig(isw_stages=frozenset(), lambda1=0.0), seed=2)
         TR.train(plain, cfg, train_set, val_set)
-        twin_encodes = []
-        encode = SegNet.encode
-
-        def spy(net, x, *args, **kwargs):
-            twin_encodes.append(threading.current_thread().name.startswith("dife-twin"))
-            return encode(net, x, *args, **kwargs)
-
-        monkeypatch.setattr(SegNet, "encode", spy)
+        monkeypatch.setattr(N, "twin_covariances", lambda *args: pytest.fail("twin view encoded"))
         monkeypatch.setattr(D, "apply_photometric", lambda img, p: pytest.fail("twin view built"))
         net = SegNet(NetConfig(lambda1=0.0), seed=2)
         TR.train(net, cfg, train_set, val_set)
-        assert twin_encodes and sum(twin_encodes) == 0
         for a, b in zip(plain.parameters(), net.parameters()):
             assert np.array_equal(a.data, b.data), a.name
 
+    def test_twin_drops_its_record_when_every_mask_is_empty(self, batch, monkeypatch):
+        # its pool thread may next run an eval piece, which opens no tape
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        stats = fresh_stats(net)
+        for st in stats.values():
+            st.mask = np.zeros((st.channels, st.channels), dtype=bool)
+        tapes = []
+        enter = T.Tape.__enter__
+
+        def spy(tape):
+            tapes.append(tape)
+            return enter(tape)
+
+        monkeypatch.setattr(T.Tape, "__enter__", spy)
+        breakdown, _ = threaded_step(net, x, lambda: Tensor(tx), m, stats)
+        assert all(breakdown[f"isw_{s}"] == 0.0 for s in stats)
+        assert len(tapes) == 2 and tapes[1].nodes is None
+
+    def test_one_thread_per_core_after_train_and_evaluate(self, tiny_sets):
+        # the twin branch and evaluate's pieces share one pool
+        train_set, val_set = tiny_sets
+        net = SegNet(NetConfig(), seed=2)
+        TR.train(net, TrainConfig(epochs=2, seed=2, warmup_epochs=1), train_set, val_set)
+        evaluate(net, val_set + train_set, 4)
+        pool = [t for t in threading.enumerate() if t.name.startswith("dife")]
+        assert 0 < len(pool) <= len(os.sched_getaffinity(0))
+
     @pytest.mark.parametrize("frozen", [False, True], ids=["warm-up", "post-freeze"])
-    def test_twin_errors_reach_the_caller_typed(self, batch, monkeypatch, frozen):
+    def test_twin_errors_reach_the_caller_typed(self, batch, monkeypatch, twin_threads, frozen):
         x, tx, m = batch
         net = SegNet(NetConfig(), seed=1)
         stats = fresh_stats(net)
@@ -438,7 +460,7 @@ class TestTrainStep:
             real = N.add_isw_terms
 
             def failing(*args):
-                if threading.current_thread().name.startswith("dife-twin"):
+                if threading.get_ident() in twin_threads:
                     raise ContractError("twin share failed")
                 return real(*args)
 
@@ -446,7 +468,7 @@ class TestTrainStep:
                 patch.setattr(N, "add_isw_terms", failing)
                 with pytest.raises(ContractError, match="twin share failed"):
                     threaded_step(net, x, lambda: Tensor(tx), m, stats)
-        # the twin thread lives on and the next step is whole
+        # the pool lives on and the next step is whole
         want_terms, want = one_tape_step(net, x, tx, m, stats if frozen else fresh_stats(net))
         got_terms, got = threaded_step(net, x, lambda: Tensor(tx), m,
                                        stats if frozen else fresh_stats(net))
@@ -483,20 +505,24 @@ class TestThreadedEvaluate:
 
     @pytest.fixture()
     def cores(self, monkeypatch):
-        """Set the core count evaluate sees; returns the sizes of the pieces it runs."""
+        """Set the core count evaluate sees, on a pool of that many threads;
+        returns the sizes of the pieces it runs."""
+        monkeypatch.setattr(TR, "_POOL", None)
         sizes = []
         piece_counts = TR._piece_counts
 
-        def spy(net, samples, num_classes, err):
+        def spy(net, samples, num_classes):
             sizes.append(len(samples))
-            return piece_counts(net, samples, num_classes, err)
+            return piece_counts(net, samples, num_classes)
 
         monkeypatch.setattr(TR, "_piece_counts", spy)
 
         def set_cores(n):
             monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(n)))
             return sizes
-        return set_cores
+        yield set_cores
+        if TR._POOL is not None:
+            TR._POOL.shutdown()
 
     @pytest.mark.parametrize("n,ncores,expect", [
         (9, 2, [4, 4, 1]), (10, 2, [4, 4, 2]), (11, 2, [4, 4, 3]), (14, 2, [4, 4, 3, 3]),
@@ -525,7 +551,6 @@ class TestThreadedEvaluate:
         # 8 threads, a GIL switch every microsecond and a cold bilinear
         # cache: a race on shared state would change the counts
         cores(8)
-        monkeypatch.setattr(TR, "_POOL", None)
         monkeypatch.setattr(TR, "compute_report", lambda counts: counts)
         net = SegNet(NetConfig(), seed=3)
         samples = images * 2
@@ -537,9 +562,26 @@ class TestThreadedEvaluate:
             got = evaluate(net, samples, 4)
         finally:
             sys.setswitchinterval(interval)
-            TR._POOL.shutdown()
         for name in ("tp", "fp", "fn", "tn"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_a_failed_piece_cancels_the_pieces_not_started(self, images, cores, monkeypatch):
+        cores(1)
+        started, release = [], threading.Event()
+
+        def piece(net, samples, num_classes):
+            started.append(len(samples))
+            if len(started) == 1:
+                raise FloatingPointError("first piece")
+            release.wait(timeout=60)   # holds the one pool thread until evaluate returns
+            return ConfusionCounts(num_classes)
+
+        monkeypatch.setattr(TR, "_piece_counts", piece)
+        with pytest.raises(FloatingPointError, match="first piece"):
+            evaluate(SegNet(NetConfig(), seed=0), (images * 8)[:40], 4)
+        release.set()
+        TR._POOL.shutdown()   # runs whatever was left queued
+        assert len(started) <= 2
 
     def test_runs_under_an_active_tape(self, images, monkeypatch):
         # tapes are per thread and every piece runs on the pool, a set of one
@@ -556,7 +598,7 @@ class TestThreadedEvaluate:
 
     def test_callers_errstate_governs_the_pieces(self, images):
         net = SegNet(NetConfig(), seed=0)
-        w = net.stages[0]["conv_a"][0].tensor
+        w = next(p for p in net.parameters() if p.name == "enc1.conv_a.w").tensor
         w.data = w.data * 1e200    # the SNR stage's variance overflows
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             evaluate(net, images[:8], 4)
