@@ -23,7 +23,7 @@ from . import net as N
 from . import train as TR
 from .config import ConfigError, format_config, load_config
 from .metrics import write_metrics_csv, write_summary_csv
-from .tensor import ContractError
+from .tensor import ContractError, core_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -132,7 +132,7 @@ def run_jobs(fn, jobs):
     """[fn(job) for job in jobs] on spawned workers, one per core and at most one
     per job, each set up by pin_process as the dife command is.  fn and jobs
     must pickle."""
-    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(jobs)), initializer=pin_process,
+    with ProcessPoolExecutor(min(core_count(), len(jobs)), initializer=pin_process,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, jobs))
 

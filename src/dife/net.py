@@ -280,6 +280,8 @@ def load_checkpoint(path, net):
             raise ContractError(
                 f"checkpoint {path}: {p.name} shape {arr.shape} != expected {p.tensor.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ContractError(f"checkpoint {path}: {p.name} holds a non-finite value")
         p.tensor.data = arr.astype(np.float64).copy()
         p.momentum_buf = np.zeros_like(p.tensor.data)
     return net

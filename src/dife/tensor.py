@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import queue
 import threading
 
 import numpy as np
@@ -65,6 +67,71 @@ _STATE = _ThreadState()
 _SERIALS = itertools.count()   # tape serials; a freed tape's id() can be reused
 
 
+def core_count():
+    """Cores this process may run on: its affinity mask where the platform
+    has one (not macOS), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_JOBS = queue.SimpleQueue()   # the leaf-gradient worker's queue, shared by every tape
+_WORKER = None                # that worker's thread, started on first use
+_LOCK = threading.Lock()      # guards _WORKER and each job's claim
+
+
+class _LeafJob:
+    """leaf_fn(g) of one node, run once under the walk's np.geterr(): by the
+    leaf-gradient worker or, if that has not started it when the walk ends,
+    by the walk's own thread."""
+
+    def __init__(self, fn, g):
+        self.call, self.out, self.done = (fn, g, np.geterr()), None, threading.Event()
+
+    def _claim(self):
+        with _LOCK:
+            call, self.call = self.call, None
+        return call
+
+    def run(self):
+        call = self._claim()
+        if call is not None:
+            fn, g, err = call
+            try:
+                with np.errstate(**err):
+                    self.out = fn(g)
+            except BaseException as exc:   # raised on the walk's thread by result()
+                self.out = exc
+            self.done.set()
+
+    def result(self):
+        self.done.wait()
+        if isinstance(self.out, BaseException):
+            raise self.out
+        return self.out
+
+    def settle(self):
+        """Drop the call if no thread started it, else wait for it; then drop
+        the result, so that no queued or finished job holds an array."""
+        if self._claim() is None:
+            self.done.wait()
+        self.out = None
+
+
+def _leaf_worker():
+    while True:
+        _JOBS.get().run()
+
+
+def _submit(job):
+    global _WORKER
+    with _LOCK:
+        if _WORKER is None:
+            _WORKER = threading.Thread(target=_leaf_worker, name="dife-leaf", daemon=True)
+            _WORKER.start()
+    _JOBS.put(job)
+
+
 class Tensor:
     """A dense (N, C, H, W) array of float64; an op's output carries its node's tag."""
 
@@ -118,11 +185,12 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("parents", "backward_fn")
+    __slots__ = ("parents", "backward_fn", "leaf_fn")
 
-    def __init__(self, parents, backward_fn):
+    def __init__(self, parents, backward_fn, leaf_fn):
         self.parents = parents
         self.backward_fn = backward_fn
+        self.leaf_fn = leaf_fn
 
 
 class Tape:
@@ -140,6 +208,12 @@ class Tape:
     among the leaves), which indexes that slot from the end of `grads`.
     Tape(keep_interior=False) also frees each node's gradient once the
     node's backward has run, for a caller that reads only the leaves'.
+
+    backward() hands leaf work to one worker thread, when the process has
+    more than one core: a conv's weight and bias gradients, which no node
+    reads, are computed there while the walk carries on down the input
+    gradients.  Each leaf's gradients are kept in walk order and summed
+    after the walk, so every sum has a serial walk's operands in its order.
 
     A closed tape answers grad() until the next tape opens on its thread,
     which drops its record.  The drop waits because memory freed at a
@@ -191,9 +265,9 @@ class Tape:
             self.leaves[id(t)] = (nid, t)
         return nid
 
-    def _emit(self, out, parent_ids, backward_fn):
+    def _emit(self, out, parent_ids, backward_fn, leaf_fn):
         out._tag = (self.serial, len(self.nodes))
-        self.nodes.append(_Node(tuple(parent_ids), backward_fn))
+        self.nodes.append(_Node(tuple(parent_ids), backward_fn, leaf_fn))
 
     def backward(self, root):
         """Accumulate d(root)/d(node) for every node reachable from root.
@@ -212,25 +286,52 @@ class Tape:
             raise ContractError("root is not recorded on this tape")
         self.grads = [None] * (len(self.nodes) + len(self.leaves))
         self.grads[rid] = np.ones((1, 1, 1, 1))
-        # Nodes after root get no gradient (parents precede their children),
-        # so the walk starts at the last node only to free their closures.
-        for nid in range(len(self.nodes) - 1, -1, -1):
-            node = self.nodes[nid]
-            fn, node.backward_fn = node.backward_fn, None
-            g = self.grads[nid]
-            if g is None or fn is None:
-                continue
-            parent_grads = fn(g)
-            if not self.keep_interior:
-                self.grads[nid] = None
-            for pid, pg in zip(node.parents, parent_grads):
-                if pid is None or pg is None:   # untracked input, or no gradient
+        on_worker = core_count() > 1
+        parts = {}   # leaf id -> its gradients in walk order: arrays and (job, index)
+        jobs = []
+        try:
+            # Nodes after root get no gradient (parents precede their children),
+            # so the walk starts at the last node only to free their closures.
+            for nid in range(len(self.nodes) - 1, -1, -1):
+                node = self.nodes[nid]
+                fn, node.backward_fn = node.backward_fn, None
+                leaf_fn, node.leaf_fn = node.leaf_fn, None
+                g = self.grads[nid]
+                if g is None or fn is None:
                     continue
-                # Out of place: a stored gradient may be another node's array.
-                if self.grads[pid] is None:
-                    self.grads[pid] = pg
-                else:
-                    self.grads[pid] = self.grads[pid] + pg
+                parent_grads = fn(g)
+                if leaf_fn is not None:
+                    tail = node.parents[len(parent_grads):]
+                    if on_worker and all(pid is None or pid < 0 for pid in tail):
+                        jobs.append(_LeafJob(leaf_fn, g))
+                        _submit(jobs[-1])
+                        parent_grads += tuple((jobs[-1], i) for i in range(len(tail)))
+                    else:
+                        parent_grads += leaf_fn(g)
+                if not self.keep_interior:
+                    self.grads[nid] = None
+                for pid, pg in zip(node.parents, parent_grads):
+                    if pid is None or pg is None:   # untracked input, or no gradient
+                        continue
+                    if pid < 0:
+                        parts.setdefault(pid, []).append(pg)
+                    # Out of place: a stored gradient may be another node's array.
+                    elif self.grads[pid] is None:
+                        self.grads[pid] = pg
+                    else:
+                        self.grads[pid] = self.grads[pid] + pg
+            for job in reversed(jobs):   # the worker takes them from the front
+                job.run()
+            for pid, pgs in parts.items():
+                total = None
+                for pg in pgs:
+                    if isinstance(pg, tuple):
+                        pg = pg[0].result()[pg[1]]
+                    total = pg if total is None else total + pg
+                self.grads[pid] = total
+        finally:
+            for job in jobs:
+                job.settle()
 
     def _ran(self):
         if self.nodes is None:
@@ -283,16 +384,18 @@ def scalar(x, requires_grad=False):
     return Tensor(np.full((1, 1, 1, 1), float(x)), requires_grad=requires_grad)
 
 
-def _maybe_record(out, inputs, backward_fn):
+def _maybe_record(out, inputs, backward_fn, leaf_fn=None):
     """Record out if this thread has an open tape and any input is tracked.
     backward_fn returns one gradient (or None) per input; an untracked
-    input's parent id is None, and backward drops its gradient."""
+    input's parent id is None, and backward drops its gradient.  With
+    leaf_fn, backward_fn covers the leading inputs and leaf_fn the rest,
+    which backward may run on its worker when those inputs are leaves."""
     tape = _STATE.active
     if tape is None:
         return out
     pids = [tape._leaf(t) for t in inputs]
     if any(p is not None for p in pids):
-        tape._emit(out, pids, backward_fn)
+        tape._emit(out, pids, backward_fn, leaf_fn)
     return out
 
 
@@ -445,26 +548,27 @@ def conv2d(x, w, b, stride=1, pad=0):
     # Nothing reads dx of an input without a tape node (the image), so skip it.
     need_dx = x.requires_grad or x.node_id is not None
 
-    def bwd(g):
-        gm = g.reshape(n, co, ho * wo)
-        dw = np.empty(w.shape)
-        for i in range(kh):
-            tap = _tap(low, i, stride, ho)
-            dw[:, :, i] = np.matmul(gm, tap.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kw)
-        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
+    def grad_x(g):
         if not need_dx:
-            return (None, dw, db)
+            return (None,)
         if stride == 1 and kh == kw and pad < kh:
             # Transposed convolution: the output gradient padded by k-1-pad,
             # correlated with the flipped kernel, C_in and C_out swapped.
             glow, (hi, wi) = _lower(g, kh, kw, 1, kh - 1 - pad)
             wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            return (_conv_lowered(glow, wflip, 1, hi, wi), dw, db)
+            return (_conv_lowered(glow, wflip, 1, hi, wi),)
         wmat = wd.reshape(co, ci * kh * kw)
-        dx = _col2im(np.matmul(wmat.T, gm), xshape, kh, kw, stride, pad)
-        return (dx, dw, db)
+        return (_col2im(np.matmul(wmat.T, g.reshape(n, co, ho * wo)), xshape, kh, kw, stride, pad),)
 
-    return _maybe_record(out, (x, w, b), bwd)
+    def grad_wb(g):
+        gm = g.reshape(n, co, ho * wo)
+        dw = np.empty((co, ci, kh, kw))
+        for i in range(kh):
+            tap = _tap(low, i, stride, ho)
+            dw[:, :, i] = np.matmul(gm, tap.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kw)
+        return (dw, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+
+    return _maybe_record(out, (x, w, b), grad_x, grad_wb)
 
 
 def global_avg_pool(x):

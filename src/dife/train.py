@@ -92,7 +92,7 @@ def _on_pool(fn, *args):
     caller's np.geterr(), which a pool thread does not inherit."""
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="dife")
+        _POOL = ThreadPoolExecutor(T.core_count(), thread_name_prefix="dife")
     err = np.geterr()
 
     def run():
@@ -280,7 +280,7 @@ def evaluate(net, samples, num_classes):
     Every piece runs on the pool, a set of one piece too, and tapes are per
     thread: evaluate never records on the caller's tape.
     """
-    cores = len(os.sched_getaffinity(0))
+    cores = T.core_count()
     pieces = []
     for lo in range(0, len(samples), EVAL_BATCH):
         batch = samples[lo : lo + EVAL_BATCH]

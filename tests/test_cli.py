@@ -387,6 +387,21 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert "truncated" in err and str(ck) in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_eval_nonfinite_checkpoint_is_config_error(self, config_file, tmp_path, dataset,
+                                                       capsys, value):
+        cfg = load_config(config_file)
+        net = N.SegNet(cfg.net_config(), seed=cfg["train.seed"])
+        w = next(p for p in net.parameters() if p.name == "enc1.conv_a.w").tensor
+        w.data.flat[0] = value
+        ck = tmp_path / "bad.dife"
+        N.save_checkpoint(ck, net)
+        assert main(["eval", "--config", str(config_file), "--checkpoint", str(ck),
+                     "--data", str(dataset), "--domain", "target",
+                     "--out", str(tmp_path / "e")]) == C.EXIT_CONFIG
+        assert "enc1.conv_a.w holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_bad_image_size_is_config_error(self, config_file, tmp_path, dataset, capsys):
         # a negative size is a FormatError (exit 2), not a ValueError from reshape
         root = tmp_path / "data"

@@ -1,4 +1,5 @@
 import gc
+import os
 import threading
 import weakref
 
@@ -504,3 +505,8 @@ def test_every_differentiable_op_has_an_oracle_row():
             if not any(r == row or r.startswith(row + "_") for r in rows):
                 missing.append(f"{module}.{op}")
     assert not missing, f"differentiable ops without an oracle row: {missing}"
+
+
+def test_core_count_without_an_affinity_mask_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(T.os, "sched_getaffinity", raising=False)   # as on macOS
+    assert T.core_count() == os.cpu_count()

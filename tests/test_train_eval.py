@@ -1,10 +1,11 @@
 """Training loop, LR schedule, optimizer, metrics, and paired t-test."""
 
+import gc
 import math
-import os
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -350,13 +351,30 @@ def threaded_step(net, x, twin, m, stats):
         return breakdown, [tape.grad(p.tensor) for p in net.parameters()]
 
 
-class TestTrainStep:
-    @pytest.fixture(scope="class")
-    def batch(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0, 1, (4, 3, 48, 48))
-        return x, np.clip(x * 1.1 + 0.05, 0, 1), rng.integers(0, 4, (4, 48, 48))
+@pytest.fixture(scope="module")
+def batch():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, (4, 3, 48, 48))
+    return x, np.clip(x * 1.1 + 0.05, 0, 1), rng.integers(0, 4, (4, 48, 48))
 
+
+def train_and_evaluate(tiny_sets):
+    train_set, val_set = tiny_sets
+    net = SegNet(NetConfig(), seed=2)
+    TR.train(net, TrainConfig(epochs=2, seed=2, warmup_epochs=1), train_set, val_set)
+    evaluate(net, val_set + train_set, 4)
+
+
+def assert_pool_and_worker(threads, cores):
+    """At most one pool thread per core, plus one leaf worker if cores > 1."""
+    pool = [t for t in threads if t.name.startswith("dife_")]
+    workers = [t for t in threads if t.name == "dife-leaf"]
+    assert len(threads) == len(pool) + len(workers)
+    assert 0 < len(pool) <= cores
+    assert len(workers) == (cores > 1)
+
+
+class TestTrainStep:
     @pytest.mark.parametrize("blocks", [
         {},
         # the twin reaches only stage 1: stages 2-3 take raw gradients alone
@@ -435,13 +453,25 @@ class TestTrainStep:
         assert len(tapes) == 2 and tapes[1].nodes is None
 
     def test_one_thread_per_core_after_train_and_evaluate(self, tiny_sets):
-        # the twin branch and evaluate's pieces share one pool
-        train_set, val_set = tiny_sets
-        net = SegNet(NetConfig(), seed=2)
-        TR.train(net, TrainConfig(epochs=2, seed=2, warmup_epochs=1), train_set, val_set)
-        evaluate(net, val_set + train_set, 4)
-        pool = [t for t in threading.enumerate() if t.name.startswith("dife")]
-        assert 0 < len(pool) <= len(os.sched_getaffinity(0))
+        # the twin branch and evaluate's pieces share one pool; conv leaf
+        # gradients go to one worker thread, which one core does without
+        train_and_evaluate(tiny_sets)
+        threads = [t for t in threading.enumerate() if t.name.startswith("dife")]
+        assert_pool_and_worker(threads, T.core_count())
+
+    def test_no_worker_on_one_core(self, tiny_sets, monkeypatch):
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        monkeypatch.setattr(T, "_WORKER", None)
+        monkeypatch.setattr(TR, "_POOL", None)
+        before = set(threading.enumerate())
+        try:
+            train_and_evaluate(tiny_sets)
+            started = [t for t in set(threading.enumerate()) - before if t.name.startswith("dife")]
+        finally:
+            if TR._POOL is not None:
+                TR._POOL.shutdown()
+        assert T._WORKER is None
+        assert_pool_and_worker(started, 1)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["warm-up", "post-freeze"])
     def test_twin_errors_reach_the_caller_typed(self, batch, monkeypatch, twin_threads, frozen):
@@ -486,6 +516,189 @@ class TestTrainStep:
             threaded_step(net, x, lambda: huge, m, fresh_stats(net))
 
 
+PLAIN = {"snr_stages": frozenset(), "isw_stages": frozenset(), "lambda1": 0.0, "lambda2": 0.0}
+
+
+def jobs_on_the_worker(job, submit=T._submit):
+    """A _submit that waits for the worker to finish each job, so that no
+    job runs on the walk's own thread."""
+    submit(job)
+    assert job.done.wait(timeout=60)
+
+
+class TestLeafWorker:
+    """Tape.backward hands each conv's weight and bias gradients to the leaf
+    worker; the reference is the same step with every job run inline."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(T, "core_count", lambda: 2)
+
+    @pytest.mark.parametrize("blocks", [
+        {}, PLAIN, {"isw_stages": frozenset({1}), "k": 3},
+        {"snr_stages": frozenset(), "isw_stages": frozenset({2, 3}), "lambda2": 0.0},
+    ], ids=["default", "plain", "isw1", "no-snr"])
+    def test_gradients_equal_inline_jobs(self, batch, monkeypatch, blocks):
+        x, tx, m = batch
+        net = SegNet(NetConfig(**blocks), seed=1)
+        submits = {"inline": T._LeafJob.run, "worker": jobs_on_the_worker, "either": T._submit}
+        stats = {mode: fresh_stats(net) for mode in submits}
+        jobs = []
+        for phase in ("warm-up", "post-freeze"):
+            got = {}
+            for mode, submit in submits.items():
+                with monkeypatch.context() as patch:
+                    patch.setattr(T, "_submit", lambda job, submit=submit: (jobs.append(job),
+                                                                            submit(job)))
+                    got[mode] = threaded_step(net, x, lambda: Tensor(tx), m, stats[mode])
+            for mode in ("worker", "either"):
+                assert got[mode][0] == got["inline"][0], (phase, mode)
+                for p, a, b in zip(net.parameters(), got["inline"][1], got[mode][1]):
+                    assert np.array_equal(a, b), (phase, mode, p.name)
+            for st in (st for by_stage in stats.values() for st in by_stage.values()):
+                st.frozen or st.freeze()
+        assert len(jobs) >= 2 * 3 * 11
+
+    @pytest.mark.parametrize("submit", [T._submit, jobs_on_the_worker], ids=["either", "worker"])
+    def test_a_leaf_sums_its_gradients_in_walk_order(self, monkeypatch, submit):
+        # four conv uses (jobs) and one mul (inline) of w: its gradient is the
+        # left-to-right sum that a serial walk forms, the last use's term first
+        monkeypatch.setattr(T, "_submit", submit)
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = T.zeros((1, 4, 1, 1), requires_grad=True)
+        xs = [Tensor(rng.standard_normal((2, 3, 8, 8))) for _ in range(4)]
+        rs = [Tensor(rng.standard_normal((2, 4, 8, 8))) for _ in range(4)]
+        c = Tensor(rng.standard_normal(w.shape))
+        terms = [lambda x=x, r=r: T.sum_all(T.mul(T.conv2d(x, w, b, pad=1), r))
+                 for x, r in zip(xs, rs)] + [lambda: T.sum_all(T.mul(w, c))]
+
+        def grad_w(fns):
+            with Tape() as tape:
+                outs = [fn() for fn in fns]
+                root = outs[0]
+                for out in outs[1:]:
+                    root = T.add(root, out)
+                tape.backward(root)
+                return tape.grad(w)
+
+        want = None
+        for term in reversed(terms):
+            g = grad_w([term])
+            want = g if want is None else want + g
+        got = grad_w(terms)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, sum(grad_w([term]) for term in terms))
+
+    def test_a_failed_job_reaches_the_caller_typed(self, batch, monkeypatch):
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        w = Tensor(np.full((1, 1, 3, 3), 1e-300), requires_grad=True)
+        b = T.zeros((1, 1, 1, 1), requires_grad=True)
+
+        def backward():
+            # only the leaf job overflows: its output gradient is 1e308
+            with Tape() as tape:
+                tape.backward(T.sum_all(T.scale(T.conv2d(x, w, b, pad=1), 1e308)))
+                return tape.grad(w), tape.grad(b)
+
+        monkeypatch.setattr(T, "_submit", jobs_on_the_worker)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward()
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dw, db = backward()
+        assert np.isinf(dw).all() and np.isinf(db).all()
+        # the next step is whole
+        net = SegNet(NetConfig(**PLAIN), seed=1)
+        _, got = threaded_step(net, batch[0], None, batch[2], {})
+        monkeypatch.setattr(T, "_submit", T._LeafJob.run)
+        _, want = threaded_step(net, batch[0], None, batch[2], {})
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_no_job_holds_an_array_once_backward_returns(self, batch, monkeypatch):
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        stats = fresh_stats(net)
+        threaded_step(net, x, lambda: Tensor(tx), m, stats)
+        for st in stats.values():
+            st.freeze()
+        lowered, jobs = [], []
+        lower, submit = T._lower, T._submit
+
+        def spy_lower(*args):
+            low, size = lower(*args)
+            lowered.append(weakref.ref(low))
+            return low, size
+
+        monkeypatch.setattr(T, "_lower", spy_lower)
+        monkeypatch.setattr(T, "_submit", lambda job: (jobs.append(job), submit(job)))
+        gc.disable()   # reference counts alone must free them
+        try:
+            with Tape() as tape:   # post-freeze: the twin's encoder sends jobs as well
+                TR.train_step(tape, net, Tensor(x), lambda: Tensor(tx), m, stats)
+                assert len(jobs) == 11 + 8 and len(lowered) >= 11 + 8
+                assert all(ref() is None for ref in lowered)
+                assert all(job.call is None and job.out is None for job in jobs)
+        finally:
+            gc.enable()
+
+    def test_one_core_computes_leaf_gradients_inline(self, batch, monkeypatch):
+        x, tx, m = batch
+        net = SegNet(NetConfig(), seed=1)
+        _, want = threaded_step(net, x, lambda: Tensor(tx), m, fresh_stats(net))
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        monkeypatch.setattr(T, "_WORKER", None)
+        monkeypatch.setattr(T, "_submit", lambda job: pytest.fail("a job went to the worker"))
+        _, got = threaded_step(net, x, lambda: Tensor(tx), m, fresh_stats(net))
+        assert T._WORKER is None
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_more_threads_than_cores_share_the_worker(self):
+        # each thread trains its own net on its own tape, every backward
+        # sending its jobs to the one worker, with a GIL switch every 10 us
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 1, (2, 3, 16, 16))
+        tx, m = np.clip(x * 1.1 + 0.05, 0, 1), rng.integers(0, 4, (2, 16, 16))
+
+        def run(k):
+            net = SegNet(NetConfig(**({} if k % 2 else PLAIN)), seed=k)
+            stats = fresh_stats(net)
+            for step in range(4):
+                with Tape() as tape:
+                    TR.train_step(tape, net, Tensor(x), lambda: Tensor(tx), m, stats)
+                    grads = [tape.grad(p.tensor).copy() for p in net.parameters()]
+                    sgd_step(net.parameters(), tape, 0.01, 0.9)
+                if step == 1:
+                    for st in stats.values():
+                        st.freeze()
+            return grads + [p.data for p in net.parameters()]
+
+        n = T.core_count() + 3
+        want = [run(k) for k in range(n)]
+        got, errors = [None] * n, []
+
+        def thread(k):
+            try:
+                got[k] = run(k)
+            except BaseException as exc:   # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=thread, args=(k,)) for k in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for k in range(n):
+            assert all(np.array_equal(a, b) for a, b in zip(want[k], got[k])), k
+
+
 def serial_counts(net, samples, num_classes):
     """The serial loop evaluate replaced: EVAL_BATCH images per forward on
     this thread, counted image by image."""
@@ -518,7 +731,7 @@ class TestThreadedEvaluate:
         monkeypatch.setattr(TR, "_piece_counts", spy)
 
         def set_cores(n):
-            monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(n)))
+            monkeypatch.setattr(T, "core_count", lambda: n)
             return sizes
         yield set_cores
         if TR._POOL is not None:
