@@ -130,11 +130,25 @@ def cmd_eval(args):
 
 def run_jobs(fn, jobs):
     """[fn(job) for job in jobs] on spawned workers, one per core and at most one
-    per job, each set up by pin_process as the dife command is.  fn and jobs
-    must pickle."""
-    with ProcessPoolExecutor(min(core_count(), len(jobs)), initializer=pin_process,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    per job, each set up by _pin_worker.  fn and jobs must pickle."""
+    workers = min(core_count(), len(jobs))
+    ctx = multiprocessing.get_context("spawn")
+    shares = ctx.SimpleQueue()
+    if hasattr(os, "sched_setaffinity"):
+        cores = sorted(os.sched_getaffinity(0))
+        for i in range(workers):
+            shares.put(cores[len(cores) * i // workers : len(cores) * (i + 1) // workers])
+    with ProcessPoolExecutor(workers, initializer=_pin_worker, initargs=(shares,),
+                             mp_context=ctx) as pool:
         return list(pool.map(fn, jobs))
+
+
+def _pin_worker(shares):
+    """pin_process, then this worker's own share of the caller's cores, from
+    the queue `shares`: a worker sizes its threads by its core_count()."""
+    pin_process()
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, shares.get())
 
 
 def run_cell(payload):

@@ -34,6 +34,7 @@ __all__ = [
     "read_pgm",
     "write_sample",
     "read_sample",
+    "stack_batch",
     "write_dataset",
     "load_dataset",
 ]
@@ -56,8 +57,12 @@ class GenerationError(ValueError):
 
 @dataclass
 class DomainSample:
-    image: np.ndarray   # (3, H, W) float64 in [0, 1]
-    mask: np.ndarray    # (H, W) int64, class indices
+    """One image and its mask.  A generated sample holds a float64 image in
+    [0, 1] and an int64 mask.  A loaded one holds read-only uint8 views of
+    its files' bytes, decoded when stack_batch builds a batch."""
+
+    image: np.ndarray   # (3, H, W) float64 in [0, 1], or uint8 0..255
+    mask: np.ndarray    # (H, W) int64 or uint8, class indices
     domain: str         # "source" | "target"
     seed: int
 
@@ -267,18 +272,33 @@ def _read_netpbm(path, magic, channels):
     return np.frombuffer(blob, dtype=np.uint8, offset=off).reshape(h, w, channels)
 
 
+def _decode(pixels):
+    """uint8 pixels -> float64 in [0, 1], in the same memory layout."""
+    return pixels.astype(np.float64) / 255.0
+
+
 def write_ppm(path, image):
-    """image (3, H, W) in [0, 1] -> binary P6, maxval 255."""
+    """image (3, H, W), float in [0, 1] or uint8 written as is -> binary P6, maxval 255."""
     _, h, w = image.shape
-    quant = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    quant = image if image.dtype == np.uint8 else \
+        np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quant.transpose(1, 2, 0).tobytes())
 
 
+def _ppm_pixels(path):
+    """(3, H, W) read-only uint8 view of a P6 file's payload."""
+    return _read_netpbm(path, b"P6", 3).transpose(2, 0, 1)
+
+
+def _pgm_pixels(path):
+    """(H, W) read-only uint8 view of a P5 file's payload."""
+    return _read_netpbm(path, b"P5", 1)[:, :, 0]
+
+
 def read_ppm(path):
-    arr = _read_netpbm(path, b"P6", 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _decode(_ppm_pixels(path))
 
 
 def write_pgm(path, mask):
@@ -290,7 +310,7 @@ def write_pgm(path, mask):
 
 
 def read_pgm(path):
-    return _read_netpbm(path, b"P5", 1)[:, :, 0].astype(np.int64)
+    return _pgm_pixels(path).astype(np.int64)
 
 
 def write_sample(img_path, msk_path, sample):
@@ -299,8 +319,22 @@ def write_sample(img_path, msk_path, sample):
 
 
 def read_sample(img_path, msk_path, domain="source", seed=0):
-    return DomainSample(image=read_ppm(img_path), mask=read_pgm(msk_path),
+    """A sample holding uint8 views of the two files; stack_batch decodes them."""
+    return DomainSample(image=_ppm_pixels(img_path), mask=_pgm_pixels(msk_path),
                         domain=domain, seed=seed)
+
+
+def stack_batch(samples):
+    """(N, 3, H, W) float64 images in [0, 1] and (N, H, W) int64 masks.
+
+    Each loaded uint8 image is decoded as read_ppm decodes it, keeping its
+    file's channels-last layout: hue_rotate's einsum rounds by layout, so a
+    C-contiguous copy would move the twin in its last bits.
+    """
+    images = np.stack([_decode(s.image) if s.image.dtype == np.uint8 else s.image
+                       for s in samples])
+    masks = np.stack([s.mask for s in samples])
+    return images, masks.astype(np.int64, copy=False)
 
 
 # --- dataset directory layout ----------------------------------------------

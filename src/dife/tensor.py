@@ -138,6 +138,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tag")
 
     def __init__(self, data, requires_grad=False):
+        if isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.integer):
+            # loaded pixels are uint8 0..255: data.stack_batch decodes them
+            raise ContractError(f"tensor data must be floating point, got {data.dtype}")
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be 4-D (N,C,H,W), got ndim={arr.ndim}")

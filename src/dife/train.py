@@ -77,12 +77,6 @@ def sgd_step(params, tape, lr, momentum):
         p.tensor.data = p.tensor.data - lr * p.momentum_buf
 
 
-def _batch_arrays(samples, idxs):
-    x = np.stack([samples[i].image for i in idxs])
-    m = np.stack([samples[i].mask for i in idxs])
-    return x, m
-
-
 def _photometric_twin(images, twin_params):
     return Tensor(np.stack([D.apply_photometric(img, p) for img, p in zip(images, twin_params)]))
 
@@ -202,7 +196,7 @@ def train(net, cfg, train_samples, val_samples, out_dir=None):
         sums = {}
         for b in range(steps_per_epoch):
             idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images, masks = _batch_arrays(train_samples, idxs)
+            images, masks = D.stack_batch([train_samples[i] for i in idxs])
             if cfg.flip_augment:
                 for j in range(len(idxs)):
                     images[j], masks[j] = D.random_flip(images[j], masks[j], rng)
@@ -264,9 +258,9 @@ def _write_log(path, rows):
 
 def _piece_counts(net, samples, num_classes):
     """Confusion counts of one piece of a batch: forward, argmax, one count."""
-    logits = net.forward(Tensor(np.stack([s.image for s in samples])))
-    pred = np.argmax(logits.data, axis=1)
-    return confusion_from_masks(pred, np.stack([s.mask for s in samples]), num_classes)
+    images, masks = D.stack_batch(samples)
+    pred = np.argmax(net.forward(Tensor(images)).data, axis=1)
+    return confusion_from_masks(pred, masks, num_classes)
 
 
 def evaluate(net, samples, num_classes):

@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,14 @@ def openblas_threads(_):
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
     get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
     return get() if get else None
+
+
+def train_one_step(_):
+    """core_count() in a run_jobs worker, and the names of the threads alive
+    there after one training step."""
+    samples = D.generate_domain(5, "source", 0, (32, 32))
+    TR.train(N.SegNet(N.NetConfig(), seed=0), TR.TrainConfig(epochs=1), samples[:4], samples[4:])
+    return T.core_count(), sorted(t.name for t in threading.enumerate())
 
 
 def run_dife(args, **env):
@@ -645,6 +654,26 @@ class TestRunJobs:
         assert C.run_jobs(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2) == [before] * 2
         assert C.run_jobs(openblas_threads, [0, 1, 2]) == [1, 1, 1]
         assert dict(os.environ) == env
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+    def test_workers_share_the_cores_out(self):
+        # two workers on two cores get one core each, so neither starts the
+        # leaf-gradient worker beside its training thread
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs two cores")
+        two = set(sorted(mask)[:2])
+        os.sched_setaffinity(0, two)
+        try:
+            results = C.run_jobs(train_one_step, [0, 1])
+            assert os.sched_getaffinity(0) == two
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert [count for count, _ in results] == [1, 1]
+        assert not any("dife-leaf" in name for _, names in results for name in names), results
+
+    def test_one_job_keeps_every_core(self):
+        assert C.run_jobs(train_one_step, [0])[0][0] == T.core_count()
 
     def test_each_worker_runs_one_blas_thread(self):
         # a forked worker would keep this process's pool, two threads or more on two cores

@@ -1,6 +1,8 @@
 """Synthetic benchmark: generation, photometric twin, netpbm IO."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,3 +299,73 @@ class TestDatasetLayout:
         D.write_sample(split / "img_00005.ppm", split / "msk_00005.pgm", odd)
         with pytest.raises(FormatError, match="img_00005"):
             D.load_dataset(tmp_path, "source", "train")
+
+
+class TestLoadedSamples:
+    """Loaded samples hold uint8 views of their files; stack_batch decodes."""
+
+    @pytest.fixture()
+    def split(self, tmp_path):
+        D.write_dataset(tmp_path, 10, 6, (48, 48))
+        return tmp_path, tmp_path / "target" / "train"
+
+    def test_batch_equals_the_stack_of_read_ppm(self, split):
+        root, d = split
+        loaded = D.load_dataset(root, "target", "train")
+        images, masks = D.stack_batch(loaded[:4])
+        want = np.stack([D.read_ppm(d / f"img_{i:05d}.ppm") for i in range(4)])
+        assert images.dtype == np.float64 and masks.dtype == np.int64
+        assert np.array_equal(images, want)
+        # channels-last, as read_ppm leaves it: hue_rotate rounds by layout
+        assert images.strides == want.strides == (55296, 8, 1152, 24)
+        assert np.array_equal(masks, np.stack([D.read_pgm(d / f"msk_{i:05d}.pgm")
+                                               for i in range(4)]))
+
+    def test_twin_of_a_batch_row_equals_the_read_ppm_twin(self, split):
+        root, d = split
+        images, _ = D.stack_batch(D.load_dataset(root, "target", "train")[:2])
+        params = PhotometricTransform().sample_params(np.random.default_rng(3))
+        assert np.array_equal(apply_photometric(images[1], params),
+                              apply_photometric(D.read_ppm(d / "img_00001.ppm"), params))
+
+    def test_generated_samples_stay_float64(self):
+        samples = generate_domain(3, "source", 2, (32, 32))
+        images, masks = D.stack_batch(samples)
+        assert np.array_equal(images, np.stack([s.image for s in samples]))
+        assert np.array_equal(masks, np.stack([s.mask for s in samples]))
+
+    def test_a_mixed_batch_decodes_only_the_loaded_images(self, split):
+        root, d = split
+        generated = generate_domain(1, "target", 6, (48, 48))[0]
+        images, _ = D.stack_batch([D.load_dataset(root, "target", "train")[0], generated])
+        assert np.array_equal(images[0], D.read_ppm(d / "img_00000.ppm"))
+        assert np.array_equal(images[1], generated.image)
+
+    def test_load_holds_little_more_than_the_file_bytes(self, split):
+        root, d = split
+        file_bytes = sum(os.path.getsize(d / name) for name in os.listdir(d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = D.load_dataset(root, "target", "train")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 8
+        assert held <= 1.25 * file_bytes, (held, file_bytes)
+
+    def test_loaded_arrays_are_read_only(self, split):
+        root, _ = split
+        sample = D.load_dataset(root, "target", "train")[0]
+        assert sample.image.dtype == sample.mask.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            sample.image[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            sample.mask[0, 0] = 1
+
+    def test_loaded_sample_round_trips_byte_for_byte(self, split, tmp_path):
+        _, d = split
+        sample = D.read_sample(d / "img_00002.ppm", d / "msk_00002.pgm")
+        D.write_sample(tmp_path / "img.ppm", tmp_path / "msk.pgm", sample)
+        assert (tmp_path / "img.ppm").read_bytes() == (d / "img_00002.ppm").read_bytes()
+        assert (tmp_path / "msk.pgm").read_bytes() == (d / "msk_00002.pgm").read_bytes()

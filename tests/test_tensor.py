@@ -24,6 +24,12 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_rejects_integer_arrays(self, dtype):
+        # loaded pixels are uint8 0..255; a net fed them would train silently
+        with pytest.raises(ContractError, match=np.dtype(dtype).name):
+            Tensor(np.zeros((1, 3, 4, 4), dtype=dtype))
+
     def test_data_length_matches_shape(self):
         x = T.zeros((2, 3, 4, 5))
         assert x.data.size == 2 * 3 * 4 * 5
