@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -75,61 +75,34 @@ def core_count():
     return os.cpu_count() or 1
 
 
-_JOBS = queue.SimpleQueue()   # the leaf-gradient worker's queue, shared by every tape
-_WORKER = None                # that worker's thread, started on first use
-_LOCK = threading.Lock()      # guards _WORKER and each job's claim
+_EXECUTORS = {}   # thread name prefix -> executor, each built on first use
+_EXECUTORS_LOCK = threading.Lock()
 
 
-class _LeafJob:
-    """leaf_fn(g) of one node, run once under the walk's np.geterr(): by the
-    leaf-gradient worker or, if that has not started it when the walk ends,
-    by the walk's own thread."""
+def _submit(fn, *args, leaf=False):
+    """Future of fn(*args) under the caller's np.geterr(), which an executor
+    thread does not inherit.  It runs on the pool of core_count() threads
+    ("dife"), or with leaf on the one leaf-gradient thread ("dife-leaf"),
+    which Tape.backward uses only when there is more than one core."""
+    name = "dife-leaf" if leaf else "dife"
+    with _EXECUTORS_LOCK:
+        if name not in _EXECUTORS:
+            _EXECUTORS[name] = ThreadPoolExecutor(1 if leaf else core_count(),
+                                                  thread_name_prefix=name)
+        executor = _EXECUTORS[name]
+    err = np.geterr()
 
-    def __init__(self, fn, g):
-        self.call, self.out, self.done = (fn, g, np.geterr()), None, threading.Event()
-
-    def _claim(self):
-        with _LOCK:
-            call, self.call = self.call, None
-        return call
-
-    def run(self):
-        call = self._claim()
-        if call is not None:
-            fn, g, err = call
-            try:
-                with np.errstate(**err):
-                    self.out = fn(g)
-            except BaseException as exc:   # raised on the walk's thread by result()
-                self.out = exc
-            self.done.set()
-
-    def result(self):
-        self.done.wait()
-        if isinstance(self.out, BaseException):
-            raise self.out
-        return self.out
-
-    def settle(self):
-        """Drop the call if no thread started it, else wait for it; then drop
-        the result, so that no queued or finished job holds an array."""
-        if self._claim() is None:
-            self.done.wait()
-        self.out = None
+    def run():
+        with np.errstate(**err):
+            return fn(*args)
+    return executor.submit(run)
 
 
-def _leaf_worker():
-    while True:
-        _JOBS.get().run()
-
-
-def _submit(job):
-    global _WORKER
-    with _LOCK:
-        if _WORKER is None:
-            _WORKER = threading.Thread(target=_leaf_worker, name="dife-leaf", daemon=True)
-            _WORKER.start()
-    _JOBS.put(job)
+def _leaf_job(slot):
+    """leaf_fn(g) of one node, taken out of its slot as it starts, so that
+    neither a finished job nor the queued entry of a cancelled one holds it."""
+    fn, g = slot.pop()
+    return fn(g)
 
 
 class Tensor:
@@ -161,9 +134,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def has_nonfinite(self):
-        return not bool(np.isfinite(self.data).all())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -212,11 +182,12 @@ class Tape:
     Tape(keep_interior=False) also frees each node's gradient once the
     node's backward has run, for a caller that reads only the leaves'.
 
-    backward() hands leaf work to one worker thread, when the process has
-    more than one core: a conv's weight and bias gradients, which no node
-    reads, are computed there while the walk carries on down the input
-    gradients.  Each leaf's gradients are kept in walk order and summed
-    after the walk, so every sum has a serial walk's operands in its order.
+    backward() hands leaf work to the leaf-gradient thread (_submit), when
+    the process has more than one core: a conv's weight and bias gradients,
+    which no node reads, are computed there while the walk carries on down
+    the input gradients.  Each leaf's gradients are kept in walk order and
+    summed after the walk, so every sum has a serial walk's operands in its
+    order.  No job outlives backward(), nor holds its node's state after it.
 
     A closed tape answers grad() until the next tape opens on its thread,
     which drops its record.  The drop waits because memory freed at a
@@ -289,9 +260,9 @@ class Tape:
             raise ContractError("root is not recorded on this tape")
         self.grads = [None] * (len(self.nodes) + len(self.leaves))
         self.grads[rid] = np.ones((1, 1, 1, 1))
-        on_worker = core_count() > 1
-        parts = {}   # leaf id -> its gradients in walk order: arrays and (job, index)
-        jobs = []
+        on_leaf_thread = core_count() > 1
+        parts = {}   # leaf id -> its gradients in walk order: arrays and (job index, index)
+        jobs = []    # (future, slot): the slot holds (leaf_fn, g) until the job starts
         try:
             # Nodes after root get no gradient (parents precede their children),
             # so the walk starts at the last node only to free their closures.
@@ -305,10 +276,10 @@ class Tape:
                 parent_grads = fn(g)
                 if leaf_fn is not None:
                     tail = node.parents[len(parent_grads):]
-                    if on_worker and all(pid is None or pid < 0 for pid in tail):
-                        jobs.append(_LeafJob(leaf_fn, g))
-                        _submit(jobs[-1])
-                        parent_grads += tuple((jobs[-1], i) for i in range(len(tail)))
+                    if on_leaf_thread and all(pid is None or pid < 0 for pid in tail):
+                        slot = [(leaf_fn, g)]
+                        jobs.append((_submit(_leaf_job, slot, leaf=True), slot))
+                        parent_grads += tuple((len(jobs) - 1, i) for i in range(len(tail)))
                     else:
                         parent_grads += leaf_fn(g)
                 if not self.keep_interior:
@@ -323,18 +294,24 @@ class Tape:
                         self.grads[pid] = pg
                     else:
                         self.grads[pid] = self.grads[pid] + pg
-            for job in reversed(jobs):   # the worker takes them from the front
-                job.run()
+            # This thread runs, last first, each job the leaf thread has not
+            # started (cancel() claims it), and waits for the others.
+            outs = [None] * len(jobs)
+            for k in range(len(jobs) - 1, -1, -1):
+                if jobs[k][0].cancel():
+                    outs[k] = _leaf_job(jobs[k][1])
             for pid, pgs in parts.items():
                 total = None
                 for pg in pgs:
                     if isinstance(pg, tuple):
-                        pg = pg[0].result()[pg[1]]
+                        k, i = pg
+                        pg = (outs[k] or jobs[k][0].result())[i]
                     total = pg if total is None else total + pg
                 self.grads[pid] = total
         finally:
-            for job in jobs:
-                job.settle()
+            wait([job for job, _ in jobs if not job.cancel()])
+            for _, slot in jobs:
+                slot.clear()   # a cancelled job's queued entry outlives this call
 
     def _ran(self):
         if self.nodes is None:
@@ -392,7 +369,8 @@ def _maybe_record(out, inputs, backward_fn, leaf_fn=None):
     backward_fn returns one gradient (or None) per input; an untracked
     input's parent id is None, and backward drops its gradient.  With
     leaf_fn, backward_fn covers the leading inputs and leaf_fn the rest,
-    which backward may run on its worker when those inputs are leaves."""
+    which backward may run on the leaf-gradient thread when those inputs
+    are leaves."""
     tape = _STATE.active
     if tape is None:
         return out

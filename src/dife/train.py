@@ -7,7 +7,7 @@ import csv
 import functools
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +32,6 @@ __all__ = [
 
 
 EVAL_BATCH = 8   # images per batch in evaluate, split across the pool's threads
-
-_POOL = None     # one thread per core for the twin branch and evaluate's pieces
 
 
 class NumericalError(RuntimeError):
@@ -81,22 +79,9 @@ def _photometric_twin(images, twin_params):
     return Tensor(np.stack([D.apply_photometric(img, p) for img, p in zip(images, twin_params)]))
 
 
-def _on_pool(fn, *args):
-    """Future of fn(*args) on the pool, started on first use, under the
-    caller's np.geterr(), which a pool thread does not inherit."""
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(T.core_count(), thread_name_prefix="dife")
-    err = np.geterr()
-
-    def run():
-        with np.errstate(**err):
-            return fn(*args)
-    return _POOL.submit(run)
-
-
 def _twin_branch(net, twin, shape, stats_by_stage, thetas):
-    """The twin view's part of a step, on a pool thread.
+    """The twin view's part of a step, on a thread of the library's pool
+    (T._submit).
 
     Builds the view with twin(), encodes it and publishes its per-stage
     covariances to the future `thetas`.  Before the freeze (stats_by_stage
@@ -104,6 +89,7 @@ def _twin_branch(net, twin, shape, stats_by_stage, thetas):
     it, the branch records on its own tape and runs the backward of its
     share of the ISW term at once: that gradient, sign(theta_tx) * mask *
     lambda1 / (2 N nnz), does not read the raw view, which enters at zero.
+    Its backward shares the one leaf-gradient thread with the raw tape's.
     Returns the parameters' (leaf, gradient) pairs.  An exception also
     fails `thetas`, so no one waits on it.  The tape's record is dropped on
     every exit: the next tape to open on this pool thread may be far off.
@@ -150,7 +136,7 @@ def train_step(tape, net, x, twin, masks, stats_by_stage):
     thetas = job = None
     if cfg.use_isw:
         thetas = Future()
-        job = _on_pool(_twin_branch, net, twin, x.shape, stats_by_stage if frozen else None, thetas)
+        job = T._submit(_twin_branch, net, twin, x.shape, stats_by_stage if frozen else None, thetas)
     try:
         record = N.forward_pair(x, None if thetas is None else thetas.result, net)
         if cfg.use_isw and not frozen:
@@ -269,10 +255,11 @@ def evaluate(net, samples, num_classes):
     Each EVAL_BATCH batch is split into up to one piece per core, evenly
     sized, of at least two images: one row sends the SNR fully-connected
     layer down numpy's gemv path, which rounds differently.  The pieces run
-    on a thread pool (numpy releases the GIL in matmul and array copies) and
-    this thread sums their integer counts, so the report is a serial run's.
-    Every piece runs on the pool, a set of one piece too, and tapes are per
-    thread: evaluate never records on the caller's tape.
+    on the library's pool, T._submit (numpy releases the GIL in matmul and
+    array copies), and this thread sums their integer counts, so the report
+    is a serial run's.  Every piece runs on the pool, a set of one piece
+    too, and tapes are per thread: evaluate never records on the caller's
+    tape.
     """
     cores = T.core_count()
     pieces = []
@@ -281,7 +268,7 @@ def evaluate(net, samples, num_classes):
         k = max(1, min(cores, len(batch) // 2))
         pieces += [batch[len(batch) * i // k : len(batch) * (i + 1) // k] for i in range(k)]
     total = ConfusionCounts(num_classes)
-    jobs = [_on_pool(_piece_counts, net, piece, num_classes) for piece in pieces]
+    jobs = [T._submit(_piece_counts, net, piece, num_classes) for piece in pieces]
     try:
         for job in jobs:
             total.add(job.result())

@@ -1,5 +1,6 @@
 """Shared test infrastructure: acceptance-criterion result reporting, a
-tape probe for single-op references and a spy on the twin branch's threads."""
+tape probe for single-op references, a spy on the twin branch's threads
+and fresh executors for a test that sets the core count."""
 
 import threading
 
@@ -63,3 +64,15 @@ def twin_threads(monkeypatch):
 
     monkeypatch.setattr(TR, "_twin_branch", spy)
     return idents
+
+
+@pytest.fixture()
+def fresh_executors(monkeypatch):
+    """The library's executors by thread name prefix, none built yet: a pool
+    built in the test takes the core_count() it sets.  Each is shut down
+    after the test, so its threads end with it."""
+    executors = {}
+    monkeypatch.setattr(T, "_EXECUTORS", executors)
+    yield executors
+    for executor in executors.values():
+        executor.shutdown()

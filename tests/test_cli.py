@@ -618,12 +618,12 @@ class TestAblate:
         assert all(0.0 <= float(r["target_miou"]) <= 1.0 for r in rows)
 
     def test_csv_equals_the_in_process_reference(self, config_file, tmp_path, dataset,
-                                                 monkeypatch):
+                                                 monkeypatch, fresh_executors):
         # an evaluate in this process first, so its pool threads are running
         samples = [s for split in ("train", "val", "test")
                    for s in D.load_dataset(dataset, "source", split)]
         TR.evaluate(N.SegNet(N.NetConfig()), samples, 4)
-        assert TR._POOL is not None
+        assert list(fresh_executors) == ["dife"]
         args = ["ablate", "--config", str(config_file), "--axis", "dcloss",
                 "--set", "train.epochs=1"]
         assert main(args + ["--out", str(tmp_path / "workers")]) == 0

@@ -34,11 +34,6 @@ class TestTensorBasics:
         x = T.zeros((2, 3, 4, 5))
         assert x.data.size == 2 * 3 * 4 * 5
 
-    def test_nonfinite_detection(self):
-        x = t4([1.0, np.nan], (1, 1, 1, 2))
-        assert x.has_nonfinite()
-        assert not T.ones((1, 1, 1, 1)).has_nonfinite()
-
 
 class TestConv2d:
     def test_sum_of_four_ones(self):

@@ -2,10 +2,13 @@
 
 import gc
 import math
+import re
 import sys
 import threading
+import time
 import warnings
 import weakref
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -366,9 +369,9 @@ def train_and_evaluate(tiny_sets):
 
 
 def assert_pool_and_worker(threads, cores):
-    """At most one pool thread per core, plus one leaf worker if cores > 1."""
-    pool = [t for t in threads if t.name.startswith("dife_")]
-    workers = [t for t in threads if t.name == "dife-leaf"]
+    """At most one pool thread per core, plus one leaf thread if cores > 1."""
+    pool = [t for t in threads if re.fullmatch(r"dife_\d+", t.name)]
+    workers = [t for t in threads if t.name == "dife-leaf_0"]
     assert len(threads) == len(pool) + len(workers)
     assert 0 < len(pool) <= cores
     assert len(workers) == (cores > 1)
@@ -454,24 +457,56 @@ class TestTrainStep:
 
     def test_one_thread_per_core_after_train_and_evaluate(self, tiny_sets):
         # the twin branch and evaluate's pieces share one pool; conv leaf
-        # gradients go to one worker thread, which one core does without
+        # gradients go to one leaf thread, which one core does without
         train_and_evaluate(tiny_sets)
         threads = [t for t in threading.enumerate() if t.name.startswith("dife")]
         assert_pool_and_worker(threads, T.core_count())
 
-    def test_no_worker_on_one_core(self, tiny_sets, monkeypatch):
+    def test_no_worker_on_one_core(self, tiny_sets, monkeypatch, fresh_executors):
         monkeypatch.setattr(T, "core_count", lambda: 1)
-        monkeypatch.setattr(T, "_WORKER", None)
-        monkeypatch.setattr(TR, "_POOL", None)
         before = set(threading.enumerate())
-        try:
-            train_and_evaluate(tiny_sets)
-            started = [t for t in set(threading.enumerate()) - before if t.name.startswith("dife")]
-        finally:
-            if TR._POOL is not None:
-                TR._POOL.shutdown()
-        assert T._WORKER is None
+        train_and_evaluate(tiny_sets)
+        started = [t for t in set(threading.enumerate()) - before if t.name.startswith("dife")]
+        assert list(fresh_executors) == ["dife"]
         assert_pool_and_worker(started, 1)
+
+    def test_threads_starting_together_build_one_executor_of_each_kind(self, monkeypatch):
+        # six threads make their first calls at once, with a GIL switch every
+        # microsecond and a slow constructor: an unguarded check-then-build
+        # starts one executor per thread, and each keeps its threads
+        built = []
+        real = T.ThreadPoolExecutor
+
+        def spy(workers, thread_name_prefix):
+            time.sleep(0.005)   # widens the window between a check and its build
+            built.append((thread_name_prefix, real(workers, thread_name_prefix=thread_name_prefix)))
+            return built[-1][1]
+
+        monkeypatch.setattr(T, "ThreadPoolExecutor", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                built.clear()
+                monkeypatch.setattr(T, "_EXECUTORS", {})
+                barrier, out = threading.Barrier(6), []
+
+                def first_use(k):
+                    barrier.wait()
+                    out.append((T._submit(abs, -k).result(), T._submit(abs, k, leaf=True).result()))
+
+                threads = [threading.Thread(target=first_use, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                for _, executor in built:
+                    executor.shutdown()
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(out) == [(k, k) for k in range(6)]
+                assert sorted(name for name, _ in built) == ["dife", "dife-leaf"]
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["warm-up", "post-freeze"])
     def test_twin_errors_reach_the_caller_typed(self, batch, monkeypatch, twin_threads, frozen):
@@ -519,19 +554,44 @@ class TestTrainStep:
 PLAIN = {"snr_stages": frozenset(), "isw_stages": frozenset(), "lambda1": 0.0, "lambda2": 0.0}
 
 
-def jobs_on_the_worker(job, submit=T._submit):
-    """A _submit that waits for the worker to finish each job, so that no
-    job runs on the walk's own thread."""
-    submit(job)
-    assert job.done.wait(timeout=60)
+def jobs_on_the_leaf_thread(fn, *args, leaf=False, submit=T._submit):
+    """A _submit that waits for the leaf thread to finish each leaf job, so
+    that no job runs on the walk's own thread."""
+    job = submit(fn, *args, leaf=leaf)
+    if leaf:
+        wait([job], timeout=60)
+        assert job.done()
+    return job
+
+
+def spy_lowerings(monkeypatch):
+    """Weak references to every lowered input _lower returns from now on."""
+    lowered, lower = [], T._lower
+
+    def spy(*args):
+        low, size = lower(*args)
+        lowered.append(weakref.ref(low))
+        return low, size
+
+    monkeypatch.setattr(T, "_lower", spy)
+    return lowered
+
+
+def counting(jobs, submit):
+    """submit, appending each leaf job's arguments (its slot) to jobs."""
+    def spy(fn, *args, leaf=False):
+        if leaf:
+            jobs.append(args)
+        return submit(fn, *args, leaf=leaf)
+    return spy
 
 
 class TestLeafWorker:
     """Tape.backward hands each conv's weight and bias gradients to the leaf
-    worker; the reference is the same step with every job run inline."""
+    thread; the reference is the same step on one core, every job inline."""
 
     @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
+    def two_cores(self, monkeypatch, fresh_executors):
         monkeypatch.setattr(T, "core_count", lambda: 2)
 
     @pytest.mark.parametrize("blocks", [
@@ -541,15 +601,17 @@ class TestLeafWorker:
     def test_gradients_equal_inline_jobs(self, batch, monkeypatch, blocks):
         x, tx, m = batch
         net = SegNet(NetConfig(**blocks), seed=1)
-        submits = {"inline": T._LeafJob.run, "worker": jobs_on_the_worker, "either": T._submit}
+        # "inline" last, so that the pool is built with two threads
+        submits = {"either": T._submit, "worker": jobs_on_the_leaf_thread, "inline": T._submit}
         stats = {mode: fresh_stats(net) for mode in submits}
         jobs = []
         for phase in ("warm-up", "post-freeze"):
             got = {}
             for mode, submit in submits.items():
                 with monkeypatch.context() as patch:
-                    patch.setattr(T, "_submit", lambda job, submit=submit: (jobs.append(job),
-                                                                            submit(job)))
+                    if mode == "inline":
+                        patch.setattr(T, "core_count", lambda: 1)
+                    patch.setattr(T, "_submit", counting(jobs, submit))
                     got[mode] = threaded_step(net, x, lambda: Tensor(tx), m, stats[mode])
             for mode in ("worker", "either"):
                 assert got[mode][0] == got["inline"][0], (phase, mode)
@@ -557,9 +619,10 @@ class TestLeafWorker:
                     assert np.array_equal(a, b), (phase, mode, p.name)
             for st in (st for by_stage in stats.values() for st in by_stage.values()):
                 st.frozen or st.freeze()
-        assert len(jobs) >= 2 * 3 * 11
+        assert len(jobs) >= 2 * 2 * 11   # none inline
 
-    @pytest.mark.parametrize("submit", [T._submit, jobs_on_the_worker], ids=["either", "worker"])
+    @pytest.mark.parametrize("submit", [T._submit, jobs_on_the_leaf_thread],
+                             ids=["either", "worker"])
     def test_a_leaf_sums_its_gradients_in_walk_order(self, monkeypatch, submit):
         # four conv uses (jobs) and one mul (inline) of w: its gradient is the
         # left-to-right sum that a serial walk forms, the last use's term first
@@ -601,7 +664,7 @@ class TestLeafWorker:
                 tape.backward(T.sum_all(T.scale(T.conv2d(x, w, b, pad=1), 1e308)))
                 return tape.grad(w), tape.grad(b)
 
-        monkeypatch.setattr(T, "_submit", jobs_on_the_worker)
+        monkeypatch.setattr(T, "_submit", jobs_on_the_leaf_thread)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             backward()
         with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -611,7 +674,7 @@ class TestLeafWorker:
         # the next step is whole
         net = SegNet(NetConfig(**PLAIN), seed=1)
         _, got = threaded_step(net, batch[0], None, batch[2], {})
-        monkeypatch.setattr(T, "_submit", T._LeafJob.run)
+        monkeypatch.setattr(T, "core_count", lambda: 1)
         _, want = threaded_step(net, batch[0], None, batch[2], {})
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
@@ -622,35 +685,56 @@ class TestLeafWorker:
         threaded_step(net, x, lambda: Tensor(tx), m, stats)
         for st in stats.values():
             st.freeze()
-        lowered, jobs = [], []
-        lower, submit = T._lower, T._submit
-
-        def spy_lower(*args):
-            low, size = lower(*args)
-            lowered.append(weakref.ref(low))
-            return low, size
-
-        monkeypatch.setattr(T, "_lower", spy_lower)
-        monkeypatch.setattr(T, "_submit", lambda job: (jobs.append(job), submit(job)))
+        jobs = []
+        lowered = spy_lowerings(monkeypatch)
+        monkeypatch.setattr(T, "_submit", counting(jobs, T._submit))
         gc.disable()   # reference counts alone must free them
         try:
             with Tape() as tape:   # post-freeze: the twin's encoder sends jobs as well
                 TR.train_step(tape, net, Tensor(x), lambda: Tensor(tx), m, stats)
                 assert len(jobs) == 11 + 8 and len(lowered) >= 11 + 8
                 assert all(ref() is None for ref in lowered)
-                assert all(job.call is None and job.out is None for job in jobs)
+                assert all(slot == [] for (slot,) in jobs)
         finally:
             gc.enable()
+
+    def test_no_job_holds_an_array_after_a_failed_backward(self, fresh_executors, monkeypatch):
+        # the walk fails below three convs whose jobs wait behind a busy leaf
+        # thread: each job is cancelled, and its queued entry holds no array
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
+        b = T.zeros((1, 3, 1, 1), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+
+        def fail(g):
+            raise ContractError("walk failed")
+
+        lowered = spy_lowerings(monkeypatch)
+        release = threading.Event()
+        busy = T._submit(release.wait, 60, leaf=True)
+        gc.disable()
+        try:
+            with pytest.raises(ContractError, match="walk failed"), Tape() as tape:
+                h = T._maybe_record(Tensor(x.data.copy()), (x,), fail)
+                for _ in range(3):
+                    h = T.conv2d(h, w, b, pad=1)
+                tape.backward(T.sum_all(h))
+            assert not busy.done() and len(lowered) >= 3
+            assert all(ref() is None for ref in lowered)
+        finally:
+            gc.enable()
+            release.set()
+        assert busy.result(timeout=60)
 
     def test_one_core_computes_leaf_gradients_inline(self, batch, monkeypatch):
         x, tx, m = batch
         net = SegNet(NetConfig(), seed=1)
         _, want = threaded_step(net, x, lambda: Tensor(tx), m, fresh_stats(net))
         monkeypatch.setattr(T, "core_count", lambda: 1)
-        monkeypatch.setattr(T, "_WORKER", None)
-        monkeypatch.setattr(T, "_submit", lambda job: pytest.fail("a job went to the worker"))
+        submit = T._submit
+        monkeypatch.setattr(T, "_submit", lambda fn, *args, leaf=False: (
+            pytest.fail("a job went to the leaf thread") if leaf else submit(fn, *args)))
         _, got = threaded_step(net, x, lambda: Tensor(tx), m, fresh_stats(net))
-        assert T._WORKER is None
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
     def test_more_threads_than_cores_share_the_worker(self):
@@ -717,10 +801,9 @@ class TestThreadedEvaluate:
         return D.generate_domain(17, "target", 5, (32, 32))
 
     @pytest.fixture()
-    def cores(self, monkeypatch):
+    def cores(self, monkeypatch, fresh_executors):
         """Set the core count evaluate sees, on a pool of that many threads;
         returns the sizes of the pieces it runs."""
-        monkeypatch.setattr(TR, "_POOL", None)
         sizes = []
         piece_counts = TR._piece_counts
 
@@ -733,9 +816,7 @@ class TestThreadedEvaluate:
         def set_cores(n):
             monkeypatch.setattr(T, "core_count", lambda: n)
             return sizes
-        yield set_cores
-        if TR._POOL is not None:
-            TR._POOL.shutdown()
+        return set_cores
 
     @pytest.mark.parametrize("n,ncores,expect", [
         (9, 2, [4, 4, 1]), (10, 2, [4, 4, 2]), (11, 2, [4, 4, 3]), (14, 2, [4, 4, 3, 3]),
@@ -778,7 +859,8 @@ class TestThreadedEvaluate:
         for name in ("tp", "fp", "fn", "tn"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
-    def test_a_failed_piece_cancels_the_pieces_not_started(self, images, cores, monkeypatch):
+    def test_a_failed_piece_cancels_the_pieces_not_started(self, images, cores, monkeypatch,
+                                                           fresh_executors):
         cores(1)
         started, release = [], threading.Event()
 
@@ -793,7 +875,7 @@ class TestThreadedEvaluate:
         with pytest.raises(FloatingPointError, match="first piece"):
             evaluate(SegNet(NetConfig(), seed=0), (images * 8)[:40], 4)
         release.set()
-        TR._POOL.shutdown()   # runs whatever was left queued
+        fresh_executors["dife"].shutdown()   # runs whatever was left queued
         assert len(started) <= 2
 
     def test_runs_under_an_active_tape(self, images, monkeypatch):
